@@ -31,7 +31,6 @@ from .sinkhorn import (
     loss_entropic_semidual,
     sinkhorn_estep,
     tilt_weights,
-    tilted_weights,
     transport_responsibilities,
 )
 from .fitting import (
@@ -45,7 +44,6 @@ from .fitting import (
     update_weights_eg,
 )
 from .metrics import (
-    ClusterScore,
     ManyFitOneDiagnostic,
     adjusted_rand_index,
     balance_residual,

@@ -23,7 +23,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.special import xlogy
 
 from .fitting import FitConfig
-from .mixtures import VARIANCE_FLOOR, _make_rng
+from .mixtures import VARIANCE_FLOOR, _as_float_array, _make_rng, responsibility_matrix
 from .sinkhorn import transport_responsibilities
 
 INNER_TOLERANCE = 1e-4
@@ -51,10 +51,10 @@ class BlockModel:
     col_weights: np.ndarray
 
     def __post_init__(self):
-        means = np.asarray(self.means, dtype=float)
-        variances = np.asarray(self.variances, dtype=float)
-        pi = np.asarray(self.row_weights, dtype=float)
-        rho = np.asarray(self.col_weights, dtype=float)
+        means = _as_float_array(self.means, "means")
+        variances = _as_float_array(self.variances, "variances")
+        pi = _as_float_array(self.row_weights, "row_weights")
+        rho = _as_float_array(self.col_weights, "col_weights")
         if means.ndim != 2 or variances.shape != means.shape:
             raise ValueError("means and variances must be matching K x G matrices")
         if pi.shape != (means.shape[0],) or rho.shape != (means.shape[1],):
@@ -95,7 +95,7 @@ class BlockResponsibilities:
 
     def __post_init__(self):
         for name, m in (("z", self.z), ("w", self.w)):
-            arr = np.asarray(m, dtype=float)
+            arr = _as_float_array(m, name)
             if arr.ndim != 2:
                 raise ValueError(f"{name} must be a matrix")
             if np.any(arr < -1e-12) or np.any(arr > 1 + 1e-12):
@@ -243,10 +243,7 @@ def _phase(
             cfg.update_weights and inner % cfg.weight_update_cadence == 0
         )
         if plain_round:
-            logits = np.log(wts)[None, :] - cost
-            logits -= logits.max(axis=1, keepdims=True)
-            resp = np.exp(logits)
-            resp /= resp.sum(axis=1, keepdims=True)
+            resp = responsibility_matrix(-cost, wts)
         else:
             solution = transport_responsibilities(-cost, wts, cfg.sinkhorn, omega)
             omega = solution.potentials
@@ -296,7 +293,7 @@ def _vem_generic(
     row_weights=None,
     col_weights=None,
 ):
-    y = np.asarray(data, dtype=float)
+    y = _as_float_array(data, "data")
     n, m = y.shape
     if k > n or g > m:
         raise ValueError("K and G cannot exceed the matrix dimensions")

@@ -1,12 +1,15 @@
 """Iterative fitting: EM, Sinkhorn-EM, and block-coordinate weight inference.
 
-Both fitters share the Gaussian M-step and the stopping rule (L1 change over
-all parameters below a tolerance or an iteration cap).  They differ only in
-the E-step: plain Bayes responsibilities for EM, the entropic-OT plan for
-Sinkhorn-EM.  Weight inference never happens inside the Sinkhorn-EM loop
-itself (the marginal constraint pins the weights); `coordinate_descent_fit`
-alternates Sinkhorn-EM in the locations with exponentiated-gradient updates
-of the weights.
+EM and Sinkhorn-EM run the same outer loop, `_fit`.  Each pass builds the
+log kernel at the current parameters, runs the E-step, appends the
+(ell, L) pair to the loss trace, and then either stops or takes one Gaussian
+M-step.  The stopping rule is the L1 change over all parameters below a
+tolerance, or an iteration cap.  Only the E-step differs: plain Bayes
+responsibilities for EM, the entropic-OT plan (warm-started from the previous
+potentials) for Sinkhorn-EM.  Weight inference never happens inside the
+Sinkhorn-EM loop itself (the marginal constraint pins the weights);
+`coordinate_descent_fit` alternates Sinkhorn-EM in the locations with
+exponentiated-gradient updates of the weights.
 """
 
 from __future__ import annotations
@@ -23,17 +26,13 @@ from .mixtures import (
     VARIANCE_FLOOR,
     VarianceSpec,
     component_log_densities,
-    neg_loglik,
     neg_loglik_from_log_densities,
     responsibility_matrix,
-    vanilla_responsibilities,
 )
 from .sinkhorn import (
     SinkhornConfig,
-    SinkhornSolution,
-    loss_entropic_semidual,
+    grad_loss_weights,
     semidual_value,
-    sinkhorn_estep,
     transport_responsibilities,
 )
 
@@ -165,27 +164,40 @@ def _effective_init(init: MixtureParams, cfg: FitConfig) -> MixtureParams:
     return init.with_variances(replace(init.variances, fixed=not cfg.update_variances))
 
 
-def em_fit(data: Dataset, init: MixtureParams, cfg: FitConfig, seed=None) -> FitReport:
-    """Classical EM: vanilla E-step, Gaussian M-step, closed-form weights."""
+def _fit(
+    data: Dataset,
+    init: MixtureParams,
+    cfg: FitConfig,
+    seed,
+    transport: bool,
+    omega: np.ndarray | None = None,
+) -> FitReport:
+    """The outer loop of EM (transport=False) and Sinkhorn-EM; see the module docstring."""
     t0 = time.perf_counter()
     params = _effective_init(init, cfg)
     trace = []
-    converged = False
-    iterations = 0
-    log_kernel = component_log_densities(params, data.points)
-    resp = Responsibilities(responsibility_matrix(log_kernel, params.weights))
-    for iterations in range(1, cfg.max_outer_iterations + 1):
-        trace.append((neg_loglik_from_log_densities(log_kernel, params.weights), None))
-        weights = resp.column_means() if cfg.update_weights else params.weights
+    all_solves_converged = True
+    change = np.inf
+    for iterations in range(cfg.max_outer_iterations + 1):
+        log_kernel = component_log_densities(params, data.points)
+        ell = neg_loglik_from_log_densities(log_kernel, params.weights)
+        if transport:
+            solution = transport_responsibilities(log_kernel, params.weights, cfg.sinkhorn, omega)
+            all_solves_converged &= solution.converged
+            omega = solution.potentials
+            resp = solution.responsibilities
+            trace.append((ell, semidual_value(log_kernel, params.weights, omega)))
+        else:
+            resp = Responsibilities(responsibility_matrix(log_kernel, params.weights))
+            trace.append((ell, None))
+        converged = change < cfg.param_change_tolerance
+        if converged or iterations == cfg.max_outer_iterations:
+            break
+        update_weights = cfg.update_weights and not transport
+        weights = resp.column_means() if update_weights else params.weights
         new_params = mstep_gaussian(data, resp, params.variances, weights)
         change = _param_change(params, new_params)
         params = new_params
-        log_kernel = component_log_densities(params, data.points)
-        resp = Responsibilities(responsibility_matrix(log_kernel, params.weights))
-        if change < cfg.param_change_tolerance:
-            converged = True
-            break
-    trace.append((neg_loglik_from_log_densities(log_kernel, params.weights), None))
     return FitReport(
         final_params=params,
         loss_trace=trace,
@@ -194,7 +206,13 @@ def em_fit(data: Dataset, init: MixtureParams, cfg: FitConfig, seed=None) -> Fit
         iterations=iterations,
         seed=seed,
         elapsed=time.perf_counter() - t0,
+        sinkhorn_converged=all_solves_converged,
     )
+
+
+def em_fit(data: Dataset, init: MixtureParams, cfg: FitConfig, seed=None) -> FitReport:
+    """Classical EM: vanilla E-step, Gaussian M-step, closed-form weights."""
+    return _fit(data, init, cfg, seed, transport=False)
 
 
 def sem_fit(
@@ -211,49 +229,7 @@ def sem_fit(
     are warm-started across outer iterations (and from `initial_potentials`
     when given).
     """
-    t0 = time.perf_counter()
-    params = _effective_init(init, cfg)
-    trace = []
-    converged = False
-    all_solves_converged = True
-    iterations = 0
-    omega = initial_potentials
-    log_kernel = component_log_densities(params, data.points)
-    solution = transport_responsibilities(log_kernel, params.weights, cfg.sinkhorn, omega)
-    for iterations in range(1, cfg.max_outer_iterations + 1):
-        all_solves_converged &= solution.converged
-        omega = solution.potentials
-        trace.append(
-            (
-                neg_loglik_from_log_densities(log_kernel, params.weights),
-                semidual_value(log_kernel, params.weights, omega),
-            )
-        )
-        new_params = mstep_gaussian(data, solution.responsibilities, params.variances, params.weights)
-        change = _param_change(params, new_params)
-        params = new_params
-        log_kernel = component_log_densities(params, data.points)
-        solution = transport_responsibilities(log_kernel, params.weights, cfg.sinkhorn, omega)
-        if change < cfg.param_change_tolerance:
-            converged = True
-            break
-    all_solves_converged &= solution.converged
-    trace.append(
-        (
-            neg_loglik_from_log_densities(log_kernel, params.weights),
-            semidual_value(log_kernel, params.weights, solution.potentials),
-        )
-    )
-    return FitReport(
-        final_params=params,
-        loss_trace=trace,
-        responsibilities=solution.responsibilities,
-        converged=converged,
-        iterations=iterations,
-        seed=seed,
-        elapsed=time.perf_counter() - t0,
-        sinkhorn_converged=all_solves_converged,
-    )
+    return _fit(data, init, cfg, seed, transport=True, omega=initial_potentials)
 
 
 def update_weights_eg(alpha: np.ndarray, gradient: np.ndarray, eta: float) -> np.ndarray:
@@ -312,7 +288,7 @@ def coordinate_descent_fit(
         current_loss = semidual_value(log_kernel, params.weights, solution.potentials)
         for _ in range(MAX_ALPHA_ITERATIONS):
             omega = solution.potentials
-            gradient = omega - float(np.dot(params.weights, omega)) - 1.0
+            gradient = grad_loss_weights(params, data, cfg.sinkhorn, solution)
             eta = cfg.weight_step
             accepted = False
             for _ in range(MAX_ETA_HALVINGS + 1):
@@ -334,7 +310,7 @@ def coordinate_descent_fit(
             current_loss = cand_loss
             if weight_change < cfg.param_change_tolerance:
                 break
-        trace.append((neg_loglik(params, data), current_loss))
+        trace.append((neg_loglik_from_log_densities(log_kernel, params.weights), current_loss))
         carry_omega = solution.potentials
 
         iterations = outer
@@ -342,9 +318,13 @@ def coordinate_descent_fit(
             converged = True
             break
 
-    final_solution = sinkhorn_estep(params, data, cfg.sinkhorn)
+    # the last alpha phase left theta as it is, so its kernel is current
+    final_solution = transport_responsibilities(log_kernel, params.weights, cfg.sinkhorn)
     trace.append(
-        (neg_loglik(params, data), loss_entropic_semidual(params, data, cfg.sinkhorn, final_solution))
+        (
+            neg_loglik_from_log_densities(log_kernel, params.weights),
+            semidual_value(log_kernel, params.weights, final_solution.potentials),
+        )
     )
     return FitReport(
         final_params=params,

@@ -27,15 +27,6 @@ from .sinkhorn import SinkhornSolution
 
 
 @dataclass(frozen=True)
-class ClusterScore:
-    """Center error (squared, permutation-matched), ARI, and the matching."""
-
-    center_error: float
-    ari: float
-    matched_permutation: np.ndarray
-
-
-@dataclass(frozen=True)
 class ManyFitOneDiagnostic:
     """Outcome of the many-fit-one exclusion test.
 
@@ -349,18 +340,3 @@ def balance_residual(params: MixtureParams, data: Dataset, solution) -> float:
     would_be = (psi.T @ data.points) / col_mass[:, None]  # (K, d)
     weighted_sum = params.weights @ would_be
     return float(np.max(np.abs(weighted_sum - data.points.mean(axis=0))))
-
-
-def score_fit(
-    fitted: MixtureParams,
-    hard_labels: np.ndarray,
-    truth: MixtureParams,
-    true_labels: np.ndarray,
-) -> ClusterScore:
-    """Bundle center error (permutation-matched) and ARI against the truth."""
-    err, perm = matched_center_error(fitted, truth)
-    return ClusterScore(
-        center_error=err,
-        ari=adjusted_rand_index(hard_labels, true_labels),
-        matched_permutation=perm,
-    )

@@ -205,20 +205,16 @@ class Dataset:
 
     def save_csv(self, path) -> None:
         """One row per point; d numeric columns plus an optional label column."""
+        labels = self.true_labels
         header = ",".join(f"x{j}" for j in range(self.dim))
-        cols = [self.points]
-        fmt = ["%r"] * self.dim
-        if self.true_labels is not None:
+        if labels is not None:
             header += ",label"
-            cols.append(self.true_labels[:, None].astype(float))
-            fmt.append("%d")
-        body = np.hstack(cols)
         with open(path, "w") as fh:
             fh.write(header + "\n")
-            for row in body:
-                fields = [repr(float(v)) for v in row[: self.dim]]
-                if self.true_labels is not None:
-                    fields.append(str(int(row[-1])))
+            for i, row in enumerate(self.points):
+                fields = [repr(float(v)) for v in row]
+                if labels is not None:
+                    fields.append(str(int(labels[i])))
                 fh.write(",".join(fields) + "\n")
 
     @classmethod
@@ -291,15 +287,11 @@ def component_logpdf(params: MixtureParams, point, k: int) -> float:
     return float(component_log_densities(params, pt)[0, k])
 
 
-def mixture_log_density(params: MixtureParams, points: np.ndarray) -> np.ndarray:
-    """log sum_k alpha_k q_{theta_k}(y_i), per point."""
-    logq = component_log_densities(params, points)
-    return logsumexp(logq + np.log(params.weights)[None, :], axis=1)
-
-
 def neg_loglik(params: MixtureParams, data: Dataset) -> float:
     """Sample negative log-likelihood ell = -(1/N) sum_i log q_theta(Y_i)."""
-    return float(-np.mean(mixture_log_density(params, data.points)))
+    return neg_loglik_from_log_densities(
+        component_log_densities(params, data.points), params.weights
+    )
 
 
 def neg_loglik_from_log_densities(log_densities: np.ndarray, weights: np.ndarray) -> float:

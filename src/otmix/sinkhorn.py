@@ -42,7 +42,6 @@ class SinkhornConfig:
 
     tolerance: float = 1e-3
     max_iterations: int = 1000
-    pin_last_potential: bool = True
 
     def __post_init__(self):
         if self.tolerance <= 0:
@@ -68,14 +67,6 @@ class SinkhornSolution:
     marginal_error: float
     iterations: int
     converged: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "omega": self.potentials.tolist(),
-            "tilted_weights": self.tilted_weights.tolist(),
-            "marginal_error": self.marginal_error,
-            "iterations": self.iterations,
-        }
 
 
 def transport_responsibilities(
@@ -140,10 +131,10 @@ def transport_responsibilities(
                     omega = omega + min(ratio / (1.0 - ratio), 2000.0) * update
                     boosted = True
         prev_update = update
-        if cfg.pin_last_potential:
-            shift = omega[-1]
-            omega = omega - shift
-            prev_omega = prev_omega - shift
+        # the potentials are defined up to a constant: pin omega_K = 0
+        shift = omega[-1]
+        omega = omega - shift
+        prev_omega = prev_omega - shift
 
     if not converged:
         warnings.warn(
@@ -173,15 +164,6 @@ def sinkhorn_estep(
     """Entropic-OT E-step between the mixture atoms and the empirical measure."""
     log_kernel = component_log_densities(params, data.points)
     return transport_responsibilities(log_kernel, params.weights, cfg, initial_potentials)
-
-
-def tilted_weights(solution: SinkhornSolution) -> np.ndarray:
-    """Tilted weights alpha(theta) of a solve; lies on the open simplex.
-
-    The stored vector is built from the potentials by `tilt_weights` at solve
-    time, so it satisfies the tilting formula exactly.
-    """
-    return solution.tilted_weights
 
 
 def loss_entropic(

@@ -94,6 +94,26 @@ class TestInitialization:
             _check_block_masses(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
 
 
+class TestNonFiniteInput:
+    def test_block_responsibilities_reject_nan(self):
+        z = np.array([[0.5, 0.5], [np.nan, 1.0]])
+        with pytest.raises(ValueError, match="z contains non-finite"):
+            BlockResponsibilities(z, np.ones((3, 1)))
+
+    def test_block_model_rejects_nan(self):
+        means = np.array([[0.0, np.nan]])
+        with pytest.raises(ValueError, match="means contains non-finite"):
+            BlockModel(means, np.ones((1, 2)), np.ones(1), np.full(2, 0.5))
+
+    @pytest.mark.parametrize("fit", [vem_fit, svem_fit])
+    def test_fit_rejects_nan_data(self, fit, rng):
+        y = rng.normal(size=(12, 10))
+        y[3, 4] = np.nan
+        init = random_block_init(12, 10, 2, 2, 0)
+        with pytest.raises(ValueError, match="data contains non-finite"):
+            fit(y, 2, 2, init, FitConfig())
+
+
 class TestVemFit:
     def test_true_hard_init_recovers_block_means(self, rng):
         model = make_model(rng, k=3, g=2, var=0.01)

@@ -11,6 +11,7 @@ from otmix import (
     MixtureParams,
     Responsibilities,
     SinkhornConfig,
+    SinkhornNonConvergence,
     VarianceSpec,
     coordinate_descent_fit,
     em_fit,
@@ -144,6 +145,46 @@ class TestEmFit:
             report = em_fit(data, init, FitConfig(update_weights=True, update_variances=False))
             ells = [e for e, _ in report.loss_trace]
             assert all(b <= a + 1e-10 for a, b in zip(ells, ells[1:]))
+
+
+class TestOuterLoopContract:
+    """em_fit and sem_fit share one outer loop; its report obeys one contract."""
+
+    @pytest.mark.parametrize("fit", [em_fit, sem_fit])
+    def test_trace_length_and_stop_flags(self, fit, rng):
+        for cap in (1, 3, 100):
+            params, data = random_instance(rng, k=3, d=2, n=120)
+            init = params.with_locations(
+                params.locations + rng.normal(scale=0.3, size=params.locations.shape)
+            )
+            cfg = FitConfig(max_outer_iterations=cap, update_variances=True)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", SinkhornNonConvergence)
+                report = fit(data, init, cfg)
+            assert 1 <= report.iterations <= cap
+            assert len(report.loss_trace) == report.iterations + 1
+            ot_losses = [l for _, l in report.loss_trace]
+            if fit is em_fit:
+                assert all(l is None for l in ot_losses)
+                assert report.sinkhorn_converged
+            else:
+                assert all(isinstance(l, float) for l in ot_losses)
+            if not report.converged:
+                assert report.iterations == cap
+
+    def test_sinkhorn_misses_are_reported_once_per_solve(self):
+        truth = grid_params([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]], var=0.5)
+        data = sample_mixture(truth, 200, 5)
+        cfg = FitConfig(
+            max_outer_iterations=4,
+            sinkhorn=SinkhornConfig(tolerance=1e-12, max_iterations=1),
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = sem_fit(data, truth, cfg)
+        misses = [w for w in caught if issubclass(w.category, SinkhornNonConvergence)]
+        assert not report.sinkhorn_converged
+        assert len(misses) == report.iterations + 1
 
 
 class TestSemFit:

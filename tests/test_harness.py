@@ -239,6 +239,21 @@ class TestCli:
         assert np.asarray(model["means"]).shape == (2, 2)
         assert rows_csv.read_text().splitlines()[0] == "index,label"
 
+    @pytest.mark.parametrize("method", ["vem", "svem"])
+    def test_cocluster_nan_input_exit_code(self, method, tmp_path, capsys):
+        y = np.random.default_rng(0).normal(size=(12, 10))
+        y[2, 5] = np.nan
+        data_csv = tmp_path / "matrix.csv"
+        np.savetxt(data_csv, y, delimiter=",")
+        model_json = tmp_path / "model.json"
+        rc = cli.main([
+            "cocluster", "--data", str(data_csv), "--k", "2", "--g", "2",
+            "--method", method, "--out-model", str(model_json),
+        ])
+        assert rc == 2
+        assert "data contains non-finite entries" in capsys.readouterr().err
+        assert not model_json.exists()
+
     def test_spurious_subcommand_smoke(self, tmp_path, capsys):
         rc = cli.main([
             "spurious", "--D", "3", "--R", "9", "--sigma", "1", "--n", "800",

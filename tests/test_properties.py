@@ -1,0 +1,112 @@
+"""Property tests: whole EM and Sinkhorn-EM fits are equivariant under
+relabelling the components and under translating the data.
+
+Both symmetries hold exactly in exact arithmetic; in floating point the
+fits agree up to rounding and Sinkhorn slack, hence a tight solver tolerance
+and an absolute comparison at 1e-8.  The tiny outer tolerance makes every
+fit run the same fixed number of outer steps.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from otmix import (
+    Dataset,
+    FitConfig,
+    MixtureParams,
+    SinkhornConfig,
+    VarianceSpec,
+    em_fit,
+    sample_mixture,
+    sem_fit,
+)
+
+OUTER_STEPS = 8
+ATOL = 1e-8
+PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=20)
+
+
+def _config(update_variances: bool, update_weights: bool) -> FitConfig:
+    return FitConfig(
+        max_outer_iterations=OUTER_STEPS,
+        param_change_tolerance=1e-300,
+        sinkhorn=SinkhornConfig(tolerance=1e-10, max_iterations=20000),
+        update_variances=update_variances,
+        update_weights=update_weights,
+    )
+
+
+@st.composite
+def problems(draw):
+    """A separated mixture, data drawn from it, and a perturbed start."""
+    k = draw(st.integers(2, 4))
+    d = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["shared", "spherical", "diagonal"]))
+    update_variances = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    locations = rng.uniform(-3.0, 3.0, size=(k, d))
+    if kind == "shared":
+        spec = VarianceSpec.shared(0.3, fixed=not update_variances)
+    elif kind == "spherical":
+        spec = VarianceSpec.spherical(rng.uniform(0.2, 0.5, size=k), fixed=not update_variances)
+    else:
+        spec = VarianceSpec.diagonal(
+            rng.uniform(0.2, 0.5, size=(k, d)), fixed=not update_variances
+        )
+    weights = rng.dirichlet(np.full(k, 10.0))
+    truth = MixtureParams(locations, spec, weights)
+    data = sample_mixture(truth, 120, rng)
+    init = truth.with_locations(locations + rng.normal(scale=0.3, size=(k, d)))
+    return data, init, update_variances
+
+
+def _assert_same_fit(report, locations, variances, weights, responsibilities):
+    params = report.final_params
+    np.testing.assert_allclose(params.locations, locations, rtol=0, atol=ATOL)
+    np.testing.assert_allclose(params.variances.values, variances, rtol=0, atol=ATOL)
+    np.testing.assert_allclose(params.weights, weights, rtol=0, atol=ATOL)
+    np.testing.assert_allclose(report.responsibilities.matrix, responsibilities, rtol=0, atol=ATOL)
+
+
+@PROPERTY_SETTINGS
+@given(problem=problems(), method=st.sampled_from(["em", "em-weights", "sem"]), data=st.data())
+def test_permuting_the_init_permutes_the_fit(problem, method, data):
+    dataset, init, update_variances = problem
+    perm = np.array(data.draw(st.permutations(range(init.n_components))))
+    cfg = _config(update_variances, update_weights=method == "em-weights")
+    fit = sem_fit if method == "sem" else em_fit
+    base = fit(dataset, init, cfg)
+    permuted = fit(dataset, init.permuted(perm), cfg)
+    expected = base.final_params.permuted(perm)
+    _assert_same_fit(
+        permuted,
+        expected.locations,
+        expected.variances.values,
+        expected.weights,
+        base.responsibilities.matrix[:, perm],
+    )
+    assert permuted.iterations == base.iterations
+
+
+@PROPERTY_SETTINGS
+@given(
+    problem=problems(),
+    method=st.sampled_from(["em", "em-weights", "sem"]),
+    shift=st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3),
+)
+def test_translating_data_and_init_translates_the_locations(problem, method, shift):
+    dataset, init, update_variances = problem
+    c = np.asarray(shift[: dataset.dim])
+    cfg = _config(update_variances, update_weights=method == "em-weights")
+    fit = sem_fit if method == "sem" else em_fit
+    base = fit(dataset, init, cfg)
+    moved = fit(Dataset(dataset.points + c), init.with_locations(init.locations + c), cfg)
+    params = base.final_params
+    _assert_same_fit(
+        moved,
+        params.locations + c,
+        params.variances.values,
+        params.weights,
+        base.responsibilities.matrix,
+    )
+    assert moved.iterations == base.iterations
