@@ -8,6 +8,8 @@ mixture (`twogauss`), latent-block-model co-clustering (`coclustering`),
 and a reproducible experiment harness (`harness`, CLI in `cli`).
 """
 
+from types import ModuleType as _ModuleType
+
 from .mixtures import (
     Dataset,
     MixtureParams,
@@ -84,5 +86,8 @@ from .harness import (
     spec_from_config,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]
 __version__ = "0.1.0"

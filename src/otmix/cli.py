@@ -18,7 +18,6 @@ import numpy as np
 from .coclustering import random_block_init, svem_fit, vem_fit
 from .fitting import FitConfig, coordinate_descent_fit, em_fit, sem_fit
 from .harness import (
-    ExperimentSpec,
     _sample_truth,
     _task_rng,
     run_experiment,
@@ -28,7 +27,7 @@ from .harness import (
     write_rows_csv,
 )
 from .metrics import kmeans_labels, kmeanspp_init, lloyd_kmeans
-from .mixtures import Dataset, MixtureParams, VarianceSpec, sample_mixture
+from .mixtures import Dataset, VarianceSpec, sample_mixture
 from .sinkhorn import SinkhornConfig, SinkhornNonConvergence
 from .twogauss import (
     TwoGaussModel,
@@ -45,8 +44,6 @@ def _add_fit_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sinkhorn-max-iter", type=int, default=1000)
     p.add_argument("--update-variances", action="store_true")
     p.add_argument("--update-weights", action="store_true")
-    p.add_argument("--eta", type=float, default=1.0, help="weight-update step size")
-    p.add_argument("--cadence", type=int, default=6, help="weight update cadence")
 
 
 def _fit_config(args) -> FitConfig:
@@ -58,8 +55,6 @@ def _fit_config(args) -> FitConfig:
         ),
         update_variances=args.update_variances,
         update_weights=args.update_weights,
-        weight_step=args.eta,
-        weight_update_cadence=args.cadence,
     )
 
 
@@ -159,6 +154,8 @@ def _cmd_select_k(args) -> int:
 
 def _cmd_twogauss(args) -> int:
     model = TwoGaussModel(args.theta_star, args.alpha_star, args.order)
+    if not args.grid_step > 0:
+        raise ValueError(f"--grid-step must be positive, got {args.grid_step:g}")
     if args.out_curves:
         grid = np.arange(args.grid_min, args.grid_max + 0.5 * args.grid_step, args.grid_step)
         write_curves_csv(args.out_curves, loss_curves(model, grid))

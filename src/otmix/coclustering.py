@@ -8,8 +8,8 @@ Y^z, v^z) reduce every phase to a weighted K-component problem.
 
 Sinkhorn-VEM replaces the soft-assignment updates with entropic-OT plans
 whose column means equal the row (resp. column) class weights; when the
-weights are themselves inferred, one plain VEM update is interleaved every
-`weight_update_cadence` OT updates so the weights can move.
+weights are themselves inferred, every WEIGHT_UPDATE_CADENCE-th inner update
+is a plain VEM update so the weights can move.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ from .mixtures import VARIANCE_FLOOR, _as_float_array, _make_rng, responsibility
 from .sinkhorn import transport_responsibilities
 
 INNER_TOLERANCE = 1e-4
+# Protocol value: with inferred weights, every sixth SVEM inner update is plain VEM.
+WEIGHT_UPDATE_CADENCE = 6
 MAX_INNER_ITERATIONS = 50
 EMPTY_BLOCK_THRESHOLD = 1e-12
 
@@ -143,6 +145,8 @@ def sample_block_data(model: BlockModel, n: int, m: int, seed):
 
 def random_block_init(n: int, m: int, k: int, g: int, seed) -> BlockResponsibilities:
     """Uniform random hard assignments with every class forced non-empty."""
+    if not (1 <= k <= n and 1 <= g <= m):
+        raise ValueError(f"K={k} and G={g} must lie in 1..{n} and 1..{m} (rows, columns)")
     rng = _make_rng(seed)
     rows = rng.integers(k, size=n)
     cols = rng.integers(g, size=m)
@@ -218,7 +222,6 @@ def _phase(
     cfg: FitConfig,
     use_transport: bool,
     transpose: bool,
-    track_surrogate: bool,
     omega=None,
 ):
     """One row or column phase: alternate assignments and parameter updates.
@@ -227,7 +230,8 @@ def _phase(
     against means.T/vars.T, so everything below reads rows-vs-classes.
     `omega` warm-starts the transport solves (and the final value is handed
     back for the next round).  Returns (resp, means, variances, weights,
-    surrogate_trace, max_marginal_error, omega).
+    surrogate_trace, max_marginal_error, omega); the surrogate trace is empty
+    for Sinkhorn-VEM.
     """
     mu = means.T.copy() if transpose else means.copy()  # (C, G')
     var = variances.T.copy() if transpose else variances.copy()
@@ -240,7 +244,7 @@ def _phase(
     for inner in range(1, MAX_INNER_ITERATIONS + 1):
         cost = _assignment_cost(y_stat, sq_stat, opposite_mass, mu, var)
         plain_round = (not use_transport) or (
-            cfg.update_weights and inner % cfg.weight_update_cadence == 0
+            cfg.update_weights and inner % WEIGHT_UPDATE_CADENCE == 0
         )
         if plain_round:
             resp = responsibility_matrix(-cost, wts)
@@ -249,7 +253,7 @@ def _phase(
             omega = solution.potentials
             resp = solution.responsibilities.matrix
             max_err = max(max_err, solution.marginal_error)
-        if track_surrogate:
+        if not use_transport:
             surrogate.append(_surrogate_value(cost, np.log(wts), resp))
 
         mass = resp.sum(axis=0)
@@ -265,7 +269,7 @@ def _phase(
             new_wts = mass / resp.shape[0]
             change += float(np.abs(new_wts - wts).sum())
             wts = new_wts
-        if track_surrogate:
+        if not use_transport:
             cost = _assignment_cost(y_stat, sq_stat, opposite_mass, mu, var)
             surrogate.append(_surrogate_value(cost, np.log(wts), resp))
         if change < INNER_TOLERANCE:
@@ -314,7 +318,6 @@ def _vem_generic(
     converged = False
     max_err = 0.0
     surrogates = []
-    track = not use_transport
     outer = 0
     row_omega = None
     col_omega = None
@@ -325,18 +328,18 @@ def _vem_generic(
         _check_block_masses(np.ones(1), col_mass)
         yw, uw = aggregate_stats(y, w)
         z, means, var, pi, s_row, err_row, row_omega = _phase(
-            yw, uw, col_mass, means, var, pi, cfg, use_transport, False, track, row_omega
+            yw, uw, col_mass, means, var, pi, cfg, use_transport, False, row_omega
         )
 
         row_mass = z.sum(axis=0)
         _check_block_masses(row_mass, np.ones(1))
         yz, vz = aggregate_stats(y.T, z)
         w, means, var, rho, s_col, err_col, col_omega = _phase(
-            yz, vz, row_mass, means, var, rho, cfg, use_transport, True, track, col_omega
+            yz, vz, row_mass, means, var, rho, cfg, use_transport, True, col_omega
         )
 
         max_err = max(max_err, err_row, err_col)
-        if track:
+        if not use_transport:
             surrogates.append(s_row)
             surrogates.append(s_col)
 
@@ -395,7 +398,7 @@ def svem_fit(
 ):
     """Sinkhorn-VEM: OT assignment updates with marginals pinned to the weights.
 
-    With cfg.update_weights, every weight_update_cadence-th inner update is a
+    With cfg.update_weights, every WEIGHT_UPDATE_CADENCE-th inner update is a
     plain VEM update so the weights can be re-estimated.
     """
     return _vem_generic(

@@ -50,25 +50,19 @@ class EmptyComponentError(RuntimeError):
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Outer-loop and weight-update knobs shared by all fitters."""
+    """Outer-loop knobs and update switches shared by all fitters."""
 
     max_outer_iterations: int = 100
     param_change_tolerance: float = 1e-3
     sinkhorn: SinkhornConfig = field(default_factory=SinkhornConfig)
     update_variances: bool = False
     update_weights: bool = False
-    weight_step: float = 1.0
-    weight_update_cadence: int = 6
 
     def __post_init__(self):
         if self.max_outer_iterations < 1:
             raise ValueError("max_outer_iterations must be >= 1")
         if self.param_change_tolerance <= 0:
             raise ValueError("param_change_tolerance must be positive")
-        if self.weight_step <= 0:
-            raise ValueError("weight_step must be positive")
-        if self.weight_update_cadence < 1:
-            raise ValueError("weight_update_cadence must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -244,6 +238,8 @@ def update_weights_eg(alpha: np.ndarray, gradient: np.ndarray, eta: float) -> np
     return w / w.sum()
 
 
+# Protocol value of the first exponentiated-gradient step; backtracking halves it.
+WEIGHT_STEP = 1.0
 MAX_ETA_HALVINGS = 30
 MAX_ALPHA_ITERATIONS = 50
 
@@ -255,7 +251,7 @@ def coordinate_descent_fit(
 
     Alternates (a) Sinkhorn-EM to theta-stationarity at frozen weights with
     (b) exponentiated-gradient weight updates backtracked on the step size
-    (start at cfg.weight_step, halve until the entropic loss decreases, at
+    (start at WEIGHT_STEP, halve until the entropic loss decreases, at
     most 30 halvings, otherwise keep the current weights).  Stops when the
     joint L1 parameter change over an outer round falls below tolerance.
     """
@@ -289,7 +285,7 @@ def coordinate_descent_fit(
         for _ in range(MAX_ALPHA_ITERATIONS):
             omega = solution.potentials
             gradient = grad_loss_weights(params, data, cfg.sinkhorn, solution)
-            eta = cfg.weight_step
+            eta = WEIGHT_STEP
             accepted = False
             for _ in range(MAX_ETA_HALVINGS + 1):
                 candidate_w = update_weights_eg(params.weights, gradient, eta)

@@ -20,9 +20,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import numbers
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,7 @@ from .metrics import (
     lloyd_kmeans,
     select_k,
 )
-from .mixtures import Dataset, MixtureParams, VarianceSpec, neg_loglik, sample_mixture
+from .mixtures import MixtureParams, VarianceSpec, neg_loglik, sample_mixture
 from .sinkhorn import SinkhornConfig, SinkhornNonConvergence
 
 VARIANCE_REGIMES = ("i", "ii", "iii", "iv")
@@ -91,24 +92,35 @@ class ExperimentSpec:
     param_change_tolerance: float = 1e-3
     sinkhorn_tolerance: float = 1e-3
     sinkhorn_max_iterations: int = 1000
-    weight_step: float = 1.0
-    weight_update_cadence: int = 6
 
     def __post_init__(self):
         for name in ("ks", "ds", "sigma2s", "ns", "variance_regimes", "methods"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
+        # messages name the config-file keys, which are also the result columns
+        integers = {"K": self.ks, "d": self.ds, "N": self.ns, "n_replicates": [self.n_replicates],
+                    "n_seeds": [self.n_seeds], "max_outer_iterations": [self.max_outer_iterations],
+                    "sinkhorn_max_iterations": [self.sinkhorn_max_iterations]}
+        reals = {"sigma2": self.sigma2s, "param_change_tolerance": [self.param_change_tolerance],
+                 "sinkhorn_tolerance": [self.sinkhorn_tolerance]}
+        for kind, what, table in ((numbers.Integral, "integer", integers),
+                                  (numbers.Real, "number", reals)):
+            for key, values in table.items():
+                for v in values:
+                    if isinstance(v, bool) or not isinstance(v, kind) or not v > 0:
+                        raise ValueError(f"{key} must be a positive {what}, got {v!r}")
+        if not (isinstance(self.master_seed, numbers.Integral) and self.master_seed >= 0):
+            raise ValueError(f"master_seed must be a non-negative integer, got {self.master_seed!r}")
         if not all(r in VARIANCE_REGIMES for r in self.variance_regimes):
             raise ValueError(f"variance regimes must be among {VARIANCE_REGIMES}")
         if not all(m in METHODS for m in self.methods):
             raise ValueError(f"methods must be among {METHODS}")
         if self.weight_regime not in ("uniform", "dirichlet"):
             raise ValueError("weight_regime must be 'uniform' or 'dirichlet'")
-        if self.weight_regime == "dirichlet" and not self.dirichlet_gamma:
-            raise ValueError("dirichlet weight regime requires dirichlet_gamma")
+        gamma = self.dirichlet_gamma
+        if self.weight_regime == "dirichlet" and not (isinstance(gamma, numbers.Real) and gamma > 0):
+            raise ValueError(f"dirichlet weight regime needs dirichlet_gamma > 0, got {gamma!r}")
         if self.selection not in ("per-seed", "best-of-seeds"):
             raise ValueError("selection must be 'per-seed' or 'best-of-seeds'")
-        if self.n_seeds < 1 or self.n_replicates < 1:
-            raise ValueError("n_seeds and n_replicates must be >= 1")
         if not (self.ks and self.ds and self.sigma2s and self.ns and self.variance_regimes):
             raise ValueError("every grid axis must be non-empty")
 
@@ -127,8 +139,6 @@ class ExperimentSpec:
             ),
             update_variances=update_variances,
             update_weights=update_weights,
-            weight_step=self.weight_step,
-            weight_update_cadence=self.weight_update_cadence,
         )
 
 
@@ -170,8 +180,6 @@ CONFIG_KEYS = {
     "param_change_tolerance": "param_change_tolerance",
     "sinkhorn_tolerance": "sinkhorn_tolerance",
     "sinkhorn_max_iterations": "sinkhorn_max_iterations",
-    "weight_step": "weight_step",
-    "weight_update_cadence": "weight_update_cadence",
 }
 
 
@@ -180,12 +188,15 @@ def spec_from_config(path) -> ExperimentSpec:
     kwargs = {}
     for key, value in raw.items():
         if key not in CONFIG_KEYS:
-            raise ValueError(f"unknown config key {key!r}")
+            raise ValueError(f"{path}: unknown config key {key!r}")
         name = CONFIG_KEYS[key]
         if name in ("ks", "ds", "sigma2s", "ns", "variance_regimes", "methods"):
             value = value if isinstance(value, list) else [value]
         kwargs[name] = value
-    return ExperimentSpec(**kwargs)
+    try:
+        return ExperimentSpec(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _task_rng(master_seed: int, *path: int) -> np.random.Generator:
@@ -352,10 +363,10 @@ def spurious_truth(D: float, R: float, sigma: float) -> MixtureParams:
     return MixtureParams(locations, VarianceSpec.shared(sigma**2), np.full(3, 1.0 / 3.0))
 
 
-def in_spurious_region(params: MixtureParams, R: float, eps: float = 1.0) -> bool:
-    """One center left of R/3, two right of 2R/3, all second coordinates small."""
+def in_spurious_region(params: MixtureParams, R: float) -> bool:
+    """One center left of R/3, two right of 2R/3, all second coordinates within 1 of 0."""
     x = np.sort(params.locations[:, 0])
-    y_ok = bool(np.max(np.abs(params.locations[:, 1])) < eps)
+    y_ok = bool(np.max(np.abs(params.locations[:, 1])) < 1.0)
     return bool(x[0] < R / 3 and x[1] > 2 * R / 3 and x[2] > 2 * R / 3 and y_ok)
 
 
@@ -366,21 +377,24 @@ def run_spurious_demo(
     n: int,
     trials: int,
     seed: int,
-    jitter: float = 0.1,
-    max_outer_iterations: int = 300,
     out_path=None,
 ) -> tuple[list[dict], dict]:
     """Spurious-optimum escape study: EM vs SEM from a many-fit-one start.
 
     The truth places two components across the second axis and one far along
     the first; both fitters start with one center between the close pair and
-    two stacked on the far component (jitter <= 0.1).  Reports per-trial
-    errors, whether the fit escaped the spurious region, and the balance
-    residual evaluated with each method's own responsibilities.
+    two stacked on the far component (uniform jitter of at most 0.1 per
+    coordinate).  Both run at most 300 outer iterations to tolerance 1e-4.
+    Reports per-trial errors, whether the fit escaped the spurious region, and
+    the balance residual evaluated with each method's own responsibilities.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not sigma > 0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
     truth = spurious_truth(D, R, sigma)
     cfg = FitConfig(
-        max_outer_iterations=max_outer_iterations,
+        max_outer_iterations=300,
         param_change_tolerance=1e-4,
         sinkhorn=SinkhornConfig(tolerance=1e-3, max_iterations=1000),
     )
@@ -389,7 +403,7 @@ def run_spurious_demo(
         data = sample_mixture(truth, n, _task_rng(seed, trial, 0))
         rng = _task_rng(seed, trial, 1)
         base_locations = np.array([[0.0, 0.0], [R, 0.0], [R, 0.0]])
-        init_locations = base_locations + rng.uniform(-jitter, jitter, size=(3, 2))
+        init_locations = base_locations + rng.uniform(-0.1, 0.1, size=(3, 2))
         init = MixtureParams(
             init_locations, VarianceSpec.shared(sigma**2), np.full(3, 1.0 / 3.0)
         )
@@ -431,22 +445,18 @@ def run_selection_sweep(
     candidates=None,
     n_seeds: int = 2,
     master_seed: int = 0,
-    methods=("em", "sem"),
-    spec: ExperimentSpec | None = None,
     out_path=None,
 ) -> list[dict]:
-    """Model selection study: K-hat via BIC over candidate K, per method.
+    """Model selection study: K-hat via BIC over candidate K, for EM and SEM.
 
     Data are drawn with equal weights and a known shared variance; candidates
-    default to K-5 .. K+5 clipped at 1.  Emits one row per (method,
-    replicate) with the selected K and the signed error K_true - K_hat.
+    default to K-5 .. K+5 clipped at 1.  Every fit uses the protocol
+    defaults of `FitConfig`.  Emits one row per (method, replicate) with the
+    selected K and the signed error K_true - K_hat.
     """
     if candidates is None:
         candidates = [k for k in range(k_true - 5, k_true + 6) if k >= 1]
-    base_spec = spec or ExperimentSpec(
-        ks=(k_true,), ds=(d,), sigma2s=(sigma2,), ns=(n,), n_seeds=n_seeds,
-        master_seed=master_seed,
-    )
+    cfg = FitConfig()
     rows = []
     for rep in range(n_replicates):
         truth = _sample_truth(
@@ -454,8 +464,7 @@ def run_selection_sweep(
         )
         data = sample_mixture(truth, n, _task_rng(master_seed, 0, rep, 1))
         var_spec = VarianceSpec.shared(sigma2, fixed=True)
-        for method in methods:
-            cfg = base_spec.fit_config(update_variances=False, update_weights=False)
+        for method in ("em", "sem"):
             fitter = em_fit if method == "em" else sem_fit
 
             def fit(dataset, init, seed_index):

@@ -37,10 +37,7 @@ class ManyFitOneDiagnostic:
     the entropic loss.
     """
 
-    group_indices: np.ndarray
-    candidate_indices: np.ndarray
     delta: float
-    gamma: float
     threshold: float
     covering_radius: float
     excluded: bool
@@ -192,14 +189,13 @@ def select_k(
     fit,
     seeds: int,
     seed=0,
-    weights_estimated: bool = False,
 ):
     """Best-of-seeds fits per candidate K, then arg-min BIC (ties: smallest K).
 
     `fit` is called as fit(data, init_params, seed_index) and must return a
     FitReport-like object with final_params.  The best seed per candidate is
-    chosen by in-sample negative log-likelihood.  Candidates whose every fit
-    raises are skipped and flagged in the table.
+    chosen by in-sample negative log-likelihood; the BIC counts no weight
+    parameters.  Candidates whose every fit raises are skipped and flagged.
     """
     k_candidates = list(k_candidates)
     if not k_candidates:
@@ -226,7 +222,7 @@ def select_k(
         if best_params is None:
             table.append({"K": k, "bic": None, "ell": None, "failed": True})
             continue
-        bic = bic_score(best_params, data, weights_estimated=weights_estimated)
+        bic = bic_score(best_params, data)
         table.append({"K": k, "bic": bic, "ell": best_ell, "failed": False})
         if best_k is None or bic < best_bic or (bic == best_bic and k < best_k):
             best_k, best_bic = k, bic
@@ -235,7 +231,11 @@ def select_k(
     return best_k, table
 
 
-def covering_radius(group_points: np.ndarray, candidate_points: np.ndarray, max_exact: int = 2_000_000):
+# Protocol value: the most assignment maps covering_radius enumerates exactly.
+MAX_EXACT_ASSIGNMENTS = 2_000_000
+
+
+def covering_radius(group_points: np.ndarray, candidate_points: np.ndarray):
     """Smallest delta so the candidates cover the group surjectively.
 
     Every candidate is assigned to a group point within delta and every group
@@ -250,7 +250,7 @@ def covering_radius(group_points: np.ndarray, candidate_points: np.ndarray, max_
     if m < r:
         return float("inf"), False
     dist = np.sqrt(np.sum((c[:, None, :] - g[None, :, :]) ** 2, axis=2))  # (m, r)
-    if r**m <= max_exact and r <= 8:
+    if r**m <= MAX_EXACT_ASSIGNMENTS and r <= 8:
         best = float("inf")
         for assign in itertools.product(range(r), repeat=m):
             if len(set(assign)) < r:
@@ -304,7 +304,6 @@ def many_fit_one_excluded(
 
     order = np.argsort(truth.locations[:, 0])
     sorted_locs = truth.locations[order, 0]
-    group = order[:k1]
     delta_sep = float(sorted_locs[k1] - sorted_locs[k1 - 1])
 
     sigma = math.sqrt(float(truth.variances.values))
@@ -313,10 +312,7 @@ def many_fit_one_excluded(
     radius, approx = covering_radius(sorted_locs[:k1], candidate.locations[idx, 0])
     excluded = (delta_sep >= threshold) and (radius < gamma * delta_sep)
     return ManyFitOneDiagnostic(
-        group_indices=group,
-        candidate_indices=idx,
         delta=delta_sep,
-        gamma=float(gamma),
         threshold=float(threshold),
         covering_radius=float(radius),
         excluded=bool(excluded),

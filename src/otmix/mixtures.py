@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.special import logsumexp
 
 # Lower bound enforced on every variance entry (sigma_0^2).  M-steps project
 # onto [VARIANCE_FLOOR, inf).
@@ -176,11 +175,10 @@ class MixtureParams:
 
 @dataclass(frozen=True)
 class Dataset:
-    """N points in d dimensions with optional ground truth for scoring."""
+    """N points in d dimensions with optional true labels for scoring."""
 
     points: np.ndarray
     true_labels: np.ndarray | None = None
-    true_params: MixtureParams | None = None
 
     def __post_init__(self):
         pts = _as_float_array(self.points, "points")
@@ -219,47 +217,42 @@ class Dataset:
 
     @classmethod
     def load_csv(cls, path) -> "Dataset":
+        """Read the `save_csv` layout; a malformed row raises naming file and line."""
         with open(path) as fh:
             header = fh.readline().strip().split(",")
-            rows = [line.strip().split(",") for line in fh if line.strip()]
+            rows = [(i, line.strip().split(",")) for i, line in enumerate(fh, 2) if line.strip()]
+        width = len(header)
         has_label = header[-1] == "label"
-        dim = len(header) - (1 if has_label else 0)
-        pts = np.array([[float(v) for v in r[:dim]] for r in rows])
-        labels = np.array([int(r[dim]) for r in rows]) if has_label else None
-        return cls(pts, true_labels=labels)
+        dim = width - (1 if has_label else 0)
+        points, labels = [], []
+        for lineno, fields in rows:
+            if len(fields) != width:
+                raise ValueError(f"{path}:{lineno}: expected {width} fields, got {len(fields)}")
+            try:
+                points.append([float(v) for v in fields[:dim]])
+                if has_label:
+                    labels.append(int(fields[dim]))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+        return cls(np.array(points), true_labels=np.array(labels) if has_label else None)
 
 
 @dataclass(frozen=True)
 class Responsibilities:
-    """Row-stochastic N x K matrix of conditional assignment probabilities.
-
-    kind is "vanilla" for plain Bayes responsibilities and "transport" for
-    plans whose column means are pinned to the mixture weights.
-    """
+    """Row-stochastic N x K matrix: Bayes responsibilities or a transport plan."""
 
     matrix: np.ndarray
-    kind: str = "vanilla"
 
     def __post_init__(self):
         m = _as_float_array(self.matrix, "responsibilities")
         if m.ndim != 2:
             raise ValueError("responsibilities must be an N x K matrix")
-        if self.kind not in ("vanilla", "transport"):
-            raise ValueError(f"unknown responsibilities kind {self.kind!r}")
         if np.any(m < -1e-12) or np.any(m > 1.0 + 1e-12):
             raise ValueError("responsibility entries must lie in [0, 1]")
         rows = m.sum(axis=1)
         if np.max(np.abs(rows - 1.0)) > 1e-10:
             raise ValueError("responsibility rows must sum to 1 within 1e-10")
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def n_components(self) -> int:
-        return self.matrix.shape[1]
 
     def column_means(self) -> np.ndarray:
         return self.matrix.mean(axis=0)
@@ -272,7 +265,8 @@ def component_log_densities(params: MixtureParams, points: np.ndarray) -> np.nda
         pts = pts[:, None]
     var = params.variance_matrix()  # (K, d)
     diff = pts[:, None, :] - params.locations[None, :, :]  # (N, K, d)
-    quad = np.sum(diff * diff / var[None, :, :], axis=2)
+    sq = diff * diff / var[None, :, :]
+    quad = _row_sum(sq.reshape(-1, sq.shape[2])).reshape(sq.shape[:2])  # sum over d
     log_norm = 0.5 * np.sum(LOG_2PI + np.log(var), axis=1)  # (K,)
     return -0.5 * quad - log_norm[None, :]
 
@@ -294,9 +288,59 @@ def neg_loglik(params: MixtureParams, data: Dataset) -> float:
     )
 
 
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """a.max(axis=1) of an (N, K) array, as K - 1 column-wise passes.
+
+    The maximum is exact, so the values are the same; numpy's own reduction
+    runs one length-K inner loop per row, which is slow for the small K here.
+    """
+    out = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        np.maximum(out, a[:, j], out=out)
+    return out
+
+
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=1) of an (N, K) array.
+
+    For K < 8 numpy adds a row's entries in sequence, starting from 0.  On a
+    tall array, adding whole columns in that order gives the same bits much
+    faster than numpy's one short inner loop per row.
+    """
+    if a.shape[1] >= 8 or a.shape[0] < 256:
+        return np.add.reduce(a, axis=1)
+    out = 0.0 + a[:, 0]
+    for j in range(1, a.shape[1]):
+        out += a[:, j]
+    return out
+
+
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """log sum_k exp(a_ik) for each row of an (N, K) array.
+
+    The arithmetic of scipy.special.logsumexp, step for step (shift by the row
+    maximum, count the maxima apart, log1p of the rest over that count, and
+    the direct formula where that is not finite), so the values match it bit
+    for bit; its per-call dispatch costs more than the sum at these sizes.
+    """
+    a_max = _row_max(a)[:, None]
+    is_max = a == a_max
+    count = _row_sum(is_max.astype(float))[:, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        e = np.exp(a - a_max)
+        e[is_max] = 0.0
+        s = _row_sum(e)[:, None]
+        s = np.where(s == 0, s, s / count)
+        out = (np.log1p(s) + np.log(count) + a_max)[:, 0]
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(_row_sum(np.exp(a[bad])))
+    return out
+
+
 def neg_loglik_from_log_densities(log_densities: np.ndarray, weights: np.ndarray) -> float:
     """neg_loglik from a precomputed (N, K) log-density matrix."""
-    return float(-np.mean(logsumexp(log_densities + np.log(weights)[None, :], axis=1)))
+    return float(-np.mean(_logsumexp_rows(log_densities + np.log(weights)[None, :])))
 
 
 def responsibility_matrix(log_densities: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -306,15 +350,15 @@ def responsibility_matrix(log_densities: np.ndarray, weights: np.ndarray) -> np.
     rows normalize to machine precision even when log densities are ~1e11.
     """
     logits = log_densities + np.log(weights)[None, :]
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - _row_max(logits)[:, None]
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / _row_sum(e)[:, None]
 
 
 def vanilla_responsibilities(params: MixtureParams, data: Dataset) -> Responsibilities:
     """Plain Bayes responsibilities Psi_ik = alpha_k q_k(Y_i) / sum_k' ..."""
     logq = component_log_densities(params, data.points)
-    return Responsibilities(responsibility_matrix(logq, params.weights), kind="vanilla")
+    return Responsibilities(responsibility_matrix(logq, params.weights))
 
 
 def _make_rng(seed) -> np.random.Generator:
@@ -327,8 +371,7 @@ def _make_rng(seed) -> np.random.Generator:
 def sample_mixture(params: MixtureParams, n: int, seed) -> Dataset:
     """Draw n i.i.d. points: labels from the weights, then the Gaussians.
 
-    Deterministic for a fixed seed; stores the labels and generating
-    parameters for downstream scoring.
+    Deterministic for a fixed seed; stores the labels for downstream scoring.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -337,4 +380,4 @@ def sample_mixture(params: MixtureParams, n: int, seed) -> Dataset:
     std = np.sqrt(params.variance_matrix())  # (K, d)
     noise = rng.standard_normal((n, params.dim))
     points = params.locations[labels] + noise * std[labels]
-    return Dataset(points, true_labels=labels, true_params=params)
+    return Dataset(points, true_labels=labels)

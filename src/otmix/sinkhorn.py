@@ -17,16 +17,19 @@ potential eliminated; cost entries beyond +-700 are harmless.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .mixtures import (
     Dataset,
     MixtureParams,
     Responsibilities,
+    _logsumexp_rows,
+    _row_max,
+    _row_sum,
     component_log_densities,
     neg_loglik,
 )
@@ -53,16 +56,18 @@ class SinkhornConfig:
 def tilt_weights(weights: np.ndarray, potentials: np.ndarray) -> np.ndarray:
     """Tilted weights alpha_k e^{omega_k} / sum_k' alpha_k' e^{omega_k'}."""
     logits = np.log(weights) + potentials
-    logits -= logsumexp(logits)
+    logits -= _logsumexp_rows(logits[None, :])[0]
     return np.exp(logits)
 
 
 @dataclass(frozen=True)
 class SinkhornSolution:
-    """Dual potentials, tilted weights, transport plan, and solve diagnostics."""
+    """Dual potentials, transport plan, and solve diagnostics.
+
+    The tilted weights follow from the potentials: `tilt_weights(weights, potentials)`.
+    """
 
     potentials: np.ndarray
-    tilted_weights: np.ndarray
     responsibilities: Responsibilities
     marginal_error: float
     iterations: int
@@ -99,11 +104,11 @@ def transport_responsibilities(
     for iterations in range(1, cfg.max_iterations + 1):
         # max-shifted row softmax keeps rows exact even for huge costs
         np.add(log_kernel, (log_w + omega)[None, :], out=buf)
-        buf -= buf.max(axis=1, keepdims=True)
+        buf -= _row_max(buf)[:, None]
         np.exp(buf, out=buf)
-        buf /= buf.sum(axis=1, keepdims=True)
-        marginal = buf.mean(axis=0)
-        error = float(np.max(np.abs(marginal - weights)))
+        buf /= _row_sum(buf)[:, None]
+        marginal = np.add.reduce(buf, axis=0) / n
+        error = float(np.abs(marginal - weights).max())
         if error <= cfg.tolerance:
             converged = True
             break
@@ -122,8 +127,8 @@ def transport_responsibilities(
             # near-saturated plans make the scaling drift: successive updates
             # become parallel with slowly shrinking norm, so the remaining
             # travel is a geometric tail worth jumping in one go
-            nu = float(np.linalg.norm(update))
-            np_prev = float(np.linalg.norm(prev_update))
+            nu = math.sqrt(update.dot(update))
+            np_prev = math.sqrt(prev_update.dot(prev_update))
             if nu > 0 and np_prev > 0:
                 cos = float(np.dot(update, prev_update)) / (nu * np_prev)
                 ratio = nu / np_prev
@@ -144,11 +149,9 @@ def transport_responsibilities(
             stacklevel=2,
         )
 
-    resp = Responsibilities(buf, kind="transport")
     return SinkhornSolution(
         potentials=omega,
-        tilted_weights=tilt_weights(weights, omega),
-        responsibilities=resp,
+        responsibilities=Responsibilities(buf),
         marginal_error=error,
         iterations=iterations,
         converged=converged,
@@ -182,7 +185,7 @@ def loss_entropic(
     if solution is None:
         solution = sinkhorn_estep(params, data, cfg)
     alpha = params.weights
-    alpha_t = solution.tilted_weights
+    alpha_t = tilt_weights(alpha, solution.potentials)
     tilted = params.with_weights(alpha_t)
     h_term = float(np.sum(alpha * (np.log(alpha) - np.log(alpha_t))))
     return neg_loglik(tilted, data) - h_term
@@ -194,7 +197,7 @@ def semidual_value(log_kernel: np.ndarray, weights: np.ndarray, potentials: np.n
     sum_k alpha_k omega_k - (1/N) sum_i log sum_k alpha_k e^{omega_k} K_ik.
     """
     logits = log_kernel + (np.log(weights) + potentials)[None, :]
-    return float(np.dot(weights, potentials) - np.mean(logsumexp(logits, axis=1)))
+    return float(np.dot(weights, potentials) - np.mean(_logsumexp_rows(logits)))
 
 
 def loss_entropic_semidual(

@@ -89,15 +89,15 @@ def map_G(model: TwoGaussModel, theta: float, alpha: float) -> float:
     return model.expectation(lambda y: 0.5 * (1.0 + np.tanh(theta * y + c)))
 
 
-def solve_tilt(model: TwoGaussModel, theta: float, tol: float = 1e-12) -> float:
-    """Tilted weight alpha(theta) solving G(theta, alpha) = alpha*.
+def solve_tilt(model: TwoGaussModel, theta: float) -> float:
+    """Tilted weight alpha(theta) solving G(theta, alpha) = alpha*, to 1e-12.
 
     G is strictly increasing in alpha with range (0, 1), so bisection on
     [1e-15, 1 - 1e-15] always brackets the unique root.
     """
     lo, hi = 1e-15, 1.0 - 1e-15
     target = model.alpha_star
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if map_G(model, theta, mid) < target:
             lo = mid
@@ -110,7 +110,6 @@ def solve_tilt(model: TwoGaussModel, theta: float, tol: float = 1e-12) -> float:
 class PopulationIterates:
     """Iterate trace of a population fixed-point run plus the geometric bound."""
 
-    method: str
     theta_trace: np.ndarray
     rho_bound: float
 
@@ -134,7 +133,7 @@ def population_iterates(
             theta = map_F(model, theta, model.alpha_star)
         trace.append(theta)
     rho = math.exp(-min(theta0, model.theta_star) ** 2 / 2.0) if theta0 > 0 else float("nan")
-    return PopulationIterates(method=method, theta_trace=np.asarray(trace), rho_bound=rho)
+    return PopulationIterates(theta_trace=np.asarray(trace), rho_bound=rho)
 
 
 def _neg_loglik_pop(model: TwoGaussModel, theta: float, alpha: float) -> float:

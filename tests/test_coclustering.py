@@ -195,7 +195,7 @@ class TestSvemFit:
         )
         y, rows, cols = sample_block_data(model, 80, 40, 3)
         init = BlockResponsibilities(one_hot(rows, 2), one_hot(cols, 2))
-        cfg = FitConfig(update_weights=True, weight_update_cadence=6)
+        cfg = FitConfig(update_weights=True)
         fitted, _, _ = svem_fit(y, 2, 2, init, cfg)
         observed = np.sort(np.bincount(rows, minlength=2) / 80.0)
         assert np.max(np.abs(np.sort(fitted.row_weights) - observed)) < 0.05

@@ -35,6 +35,42 @@ selection = "per-seed"
 """
 
 
+# case: (files to write, CLI command, expected error text); {tmp} is the test's directory
+BAD_INPUTS = {
+    "grid-step": (
+        {},
+        "twogauss --theta-star 1 --alpha-star 0.6 --grid-step 0 --out-curves {tmp}/c.csv",
+        "--grid-step must be positive",
+    ),
+    "short-row": (
+        {"d.csv": "x0,x1,label\n0.1,0.2,0\n0.3,1\n"},
+        "fit --data {tmp}/d.csv --method em --k 2",
+        "{tmp}/d.csv:3: expected 3 fields, got 2",
+    ),
+    "bad-number": (
+        {"d.csv": "x0,x1,label\n0.1,0.2,0\n0.3,abc,1\n"},
+        "fit --data {tmp}/d.csv --method em --k 2",
+        "{tmp}/d.csv:3: could not convert string to float",
+    ),
+    "config-type": (
+        {"s.cfg": TINY_CONFIG.replace("K = [3]", 'K = "abc"')},
+        "experiment --config {tmp}/s.cfg --out-dir {tmp}/out",
+        "K must be a positive integer, got 'abc'",
+    ),
+    "removed-key": (
+        {"s.cfg": TINY_CONFIG + "weight_update_cadence = 6\n"},
+        "experiment --config {tmp}/s.cfg --out-dir {tmp}/out",
+        "unknown config key 'weight_update_cadence'",
+    ),
+    "trials": ({}, "spurious --n 50 --trials 0", "trials must be >= 1"),
+    "k-zero": (
+        {"m.csv": "1,2\n3,4\n5,6\n"},
+        "cocluster --data {tmp}/m.csv --k 0 --g 2 --method vem --out-model {tmp}/m.json",
+        "K=0 and G=2 must lie in 1..3 and 1..2",
+    ),
+}
+
+
 @pytest.fixture
 def tiny_spec(tmp_path):
     cfg = tmp_path / "sweep.cfg"
@@ -283,3 +319,12 @@ class TestCli:
             "fit", "--data", str(tmp_path / "absent.csv"), "--method", "em", "--k", "2",
         ])
         assert rc == 2
+
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_bad_input_exit_code(self, case, tmp_path, capsys):
+        # each bad input exits 2 with a message naming it, never a traceback
+        files, command, expected = BAD_INPUTS[case]
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        assert cli.main([arg.format(tmp=tmp_path) for arg in command.split()]) == 2
+        assert expected.format(tmp=tmp_path) in capsys.readouterr().err

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from otmix import (
     Dataset,
@@ -13,6 +14,7 @@ from otmix import (
     sample_mixture,
     vanilla_responsibilities,
 )
+from otmix.mixtures import _logsumexp_rows, _row_max, _row_sum
 from conftest import random_instance, random_params
 
 
@@ -109,13 +111,41 @@ class TestNegLoglik:
         assert np.all(np.isfinite(resp.matrix))
 
 
+class TestRowReductions:
+    """The row helpers give numpy's and scipy's values bit for bit."""
+
+    def _arrays(self):
+        rng = np.random.default_rng(7)
+        for k in range(1, 21):
+            for scale in (1e-3, 1.0, 300.0):
+                a = rng.normal(size=(300, k)) * scale  # tall: the column path
+                a[0] = np.round(a[0])  # ties for the maximum
+                a[1] = -0.0
+                a[2, k // 2] = np.inf
+                a[3, 0] = np.nan
+                a[4] = -np.inf
+                yield a
+
+    def test_row_max_and_sum(self):
+        for a in self._arrays():
+            assert np.array_equal(_row_max(a), a.max(axis=1), equal_nan=True)
+            with np.errstate(over="ignore"):
+                positive = np.exp(a)
+            for x in (a, positive):
+                assert np.array_equal(_row_sum(x), x.sum(axis=1), equal_nan=True)
+                assert np.array_equal(np.signbit(_row_sum(x)), np.signbit(x.sum(axis=1)))
+
+    def test_logsumexp_rows_matches_scipy(self):
+        for a in self._arrays():
+            assert np.array_equal(_logsumexp_rows(a), logsumexp(a, axis=1), equal_nan=True)
+
+
 class TestVanillaResponsibilities:
     def test_single_component_all_ones(self):
         p = scalar_params([3.0])
         d = Dataset(np.array([[0.0], [10.0]]))
         resp = vanilla_responsibilities(p, d)
         assert np.allclose(resp.matrix, 1.0)
-        assert resp.kind == "vanilla"
 
     def test_equidistant_point_splits_evenly(self):
         p = scalar_params([-1.0, 1.0])

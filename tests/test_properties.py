@@ -1,11 +1,17 @@
 """Property tests: whole EM and Sinkhorn-EM fits are equivariant under
-relabelling the components and under translating the data.
+relabelling the components and under translating the data; the entropic
+loss agrees with its semi-dual form at any potentials and dominates the
+negative log-likelihood at solved ones; the solver's plan stays row-stochastic
+on extreme kernels.
 
 Both symmetries hold exactly in exact arithmetic; in floating point the
 fits agree up to rounding and Sinkhorn slack, hence a tight solver tolerance
 and an absolute comparison at 1e-8.  The tiny outer tolerance makes every
 fit run the same fixed number of outer steps.
 """
+
+import warnings
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -15,10 +21,16 @@ from otmix import (
     FitConfig,
     MixtureParams,
     SinkhornConfig,
+    SinkhornNonConvergence,
     VarianceSpec,
     em_fit,
+    loss_entropic,
+    loss_entropic_semidual,
+    neg_loglik,
     sample_mixture,
     sem_fit,
+    sinkhorn_estep,
+    transport_responsibilities,
 )
 
 OUTER_STEPS = 8
@@ -110,3 +122,45 @@ def test_translating_data_and_init_translates_the_locations(problem, method, shi
         base.responsibilities.matrix,
     )
     assert moved.iterations == base.iterations
+
+
+@PROPERTY_SETTINGS
+@given(problem=problems(), data=st.data())
+def test_loss_forms_agree_at_unsolved_potentials(problem, data):
+    dataset, params, _ = problem
+    k = params.n_components
+    omega = data.draw(st.lists(st.floats(-5.0, 5.0), min_size=k, max_size=k))
+    cfg = SinkhornConfig()
+    solution = replace(sinkhorn_estep(params, dataset, cfg), potentials=np.asarray(omega))
+    tilted = loss_entropic(params, dataset, cfg, solution)
+    semidual = loss_entropic_semidual(params, dataset, cfg, solution)
+    assert abs(tilted - semidual) <= 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(problem=problems())
+def test_entropic_loss_dominates_nll_at_solved_potentials(problem):
+    dataset, params, _ = problem
+    cfg = SinkhornConfig(tolerance=1e-10, max_iterations=20000)
+    assert loss_entropic(params, dataset, cfg) >= neg_loglik(params, dataset) - 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(
+    n=st.integers(1, 40),
+    k=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    tolerance=st.sampled_from([1e-3, 1e-8]),
+)
+def test_plan_on_extreme_kernels(n, k, seed, tolerance):
+    rng = np.random.default_rng(seed)
+    log_kernel = rng.uniform(-700.0, 700.0, size=(n, k))
+    weights = rng.dirichlet(np.ones(k))
+    cfg = SinkhornConfig(tolerance=tolerance, max_iterations=500)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SinkhornNonConvergence)
+        solution = transport_responsibilities(log_kernel, weights, cfg)
+    plan = solution.responsibilities
+    assert np.max(np.abs(plan.matrix.sum(axis=1) - 1.0)) <= 1e-10
+    if solution.converged:
+        assert np.max(np.abs(plan.column_means() - weights)) <= tolerance
