@@ -16,11 +16,9 @@ from .mixtures import (
     Responsibilities,
     VARIANCE_FLOOR,
     VarianceSpec,
-    component_logpdf,
     component_log_densities,
     neg_loglik,
     sample_mixture,
-    vanilla_responsibilities,
 )
 from .sinkhorn import (
     EntropicGradient,

@@ -77,18 +77,11 @@ def _cmd_simulate(args) -> int:
 def _cmd_fit(args) -> int:
     data = Dataset.load_csv(args.data)
     init = kmeanspp_init(data, args.k, _task_rng(args.seed, 0, 0, 2))
-    kind = args.variance_kind
-    if kind == "shared":
-        spec = VarianceSpec.shared(args.sigma2, fixed=not args.update_variances)
-    elif kind == "spherical":
-        spec = VarianceSpec.spherical(
-            np.full(args.k, args.sigma2), fixed=not args.update_variances
-        )
-    else:
-        spec = VarianceSpec.diagonal(
-            np.full((args.k, data.dim), args.sigma2), fixed=not args.update_variances
-        )
-    init = init.with_variances(spec)
+    shape = {"shared": (), "spherical": (args.k,), "diagonal": (args.k, data.dim)}
+    values = np.full(shape[args.variance_kind], float(args.sigma2))
+    init = init.with_variances(
+        VarianceSpec(args.variance_kind, values, fixed=not args.update_variances)
+    )
     cfg = _fit_config(args)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SinkhornNonConvergence)

@@ -286,6 +286,27 @@ def _phase(
     return resp, mu, var, wts, surrogate, max_err, omega
 
 
+def _checked_overrides(k: int, g: int, variances, row_weights, col_weights) -> list:
+    """The known-parameter overrides, checked before any fitting; None where not given."""
+    if variances is not None:
+        variances = _as_float_array(variances, "variances")
+        if np.any(variances < VARIANCE_FLOOR * (1 - 1e-12)):
+            raise ValueError(f"variances must be >= {VARIANCE_FLOOR:g}")
+        try:
+            variances = np.broadcast_to(variances, (k, g)).copy()
+        except ValueError:
+            raise ValueError(f"variances of shape {variances.shape} must broadcast to "
+                             f"({k}, {g})") from None
+    checked = [variances]
+    for name, wts, size in (("row_weights", row_weights, k), ("col_weights", col_weights, g)):
+        if wts is not None:
+            wts = _as_float_array(wts, name).copy()
+            if wts.shape != (size,) or np.any(wts <= 0) or abs(wts.sum() - 1.0) > 1e-12:
+                raise ValueError(f"{name} must be {size} positive numbers summing to 1")
+        checked.append(wts)
+    return checked
+
+
 def _vem_generic(
     data: np.ndarray,
     k: int,
@@ -306,14 +327,15 @@ def _vem_generic(
     if z.shape != (n, k) or w.shape != (m, g):
         raise ValueError("init responsibilities do not match the data and K, G")
 
+    variances, row_weights, col_weights = _checked_overrides(
+        k, g, variances, row_weights, col_weights
+    )
+
     t0 = time.perf_counter()
     means, var, pi, rho = _initial_parameters(y, z, w)
-    if variances is not None:
-        var = np.broadcast_to(np.asarray(variances, dtype=float), (k, g)).copy()
-    if row_weights is not None:
-        pi = np.asarray(row_weights, dtype=float).copy()
-    if col_weights is not None:
-        rho = np.asarray(col_weights, dtype=float).copy()
+    var = var if variances is None else variances
+    pi = pi if row_weights is None else row_weights
+    rho = rho if col_weights is None else col_weights
 
     converged = False
     max_err = 0.0

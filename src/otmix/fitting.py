@@ -33,6 +33,7 @@ from .sinkhorn import (
     SinkhornConfig,
     grad_loss_weights,
     semidual_value,
+    tilt_weights,
     transport_responsibilities,
 )
 
@@ -227,15 +228,10 @@ def sem_fit(
 
 
 def update_weights_eg(alpha: np.ndarray, gradient: np.ndarray, eta: float) -> np.ndarray:
-    """Multiplicative (exponentiated-gradient) simplex step, renormalized."""
+    """Multiplicative (exponentiated-gradient) simplex step: alpha tilted by -eta * gradient."""
     if eta < 0:
         raise ValueError("eta must be nonnegative")
-    alpha = np.asarray(alpha, dtype=float)
-    g = np.asarray(gradient, dtype=float)
-    logits = np.log(alpha) - eta * g
-    logits -= logits.max()
-    w = np.exp(logits)
-    return w / w.sum()
+    return tilt_weights(np.asarray(alpha, dtype=float), -eta * np.asarray(gradient, dtype=float))
 
 
 # Protocol value of the first exponentiated-gradient step; backtracking halves it.

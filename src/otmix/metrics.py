@@ -19,11 +19,11 @@ from scipy.optimize import linear_sum_assignment
 from .mixtures import (
     Dataset,
     MixtureParams,
+    Responsibilities,
     VarianceSpec,
     neg_loglik,
     _make_rng,
 )
-from .sinkhorn import SinkhornSolution
 
 
 @dataclass(frozen=True)
@@ -320,17 +320,15 @@ def many_fit_one_excluded(
     )
 
 
-def balance_residual(params: MixtureParams, data: Dataset, solution) -> float:
+def balance_residual(params: MixtureParams, data: Dataset, resp: Responsibilities) -> float:
     """L-infinity gap between the weight-weighted M-step centers and the data mean.
 
     F_k is the location the next M-step would produce from the given
     responsibilities; the residual is ||sum_k alpha_k F_k - mean(Y)||_inf.
     Near zero for any converged transport solve; at a vanilla-EM stationary
     point evaluated with its own responsibilities (F_k = theta_k there) it is
-    generically positive when the cluster masses are unequal.  Accepts a
-    SinkhornSolution or a bare Responsibilities.
+    generically positive when the cluster masses are unequal.
     """
-    resp = solution.responsibilities if isinstance(solution, SinkhornSolution) else solution
     psi = resp.matrix
     col_mass = psi.sum(axis=0)
     would_be = (psi.T @ data.points) / col_mass[:, None]  # (K, d)

@@ -2,9 +2,11 @@
 
 Components are isotropic or axis-aligned Gaussians: each component k has a
 location (mean) row, a variance given by a :class:`VarianceSpec`, and a
-strictly positive weight.  All density work happens in log space with
-log-sum-exp so that far-away points and floor-level variances never overflow.
-Every container is an immutable value; the functions here are pure.
+strictly positive weight.  All density work happens in log space, and one
+max-shifted row normaliser, `_softmax_rows`, gives both E-steps their row
+softmax and both losses their row log-sum-exp, so that far-away points and
+floor-level variances never overflow.  Every container is an immutable
+value; the functions here are pure.
 """
 
 from __future__ import annotations
@@ -217,13 +219,17 @@ class Dataset:
 
     @classmethod
     def load_csv(cls, path) -> "Dataset":
-        """Read the `save_csv` layout; a malformed row raises naming file and line."""
+        """Read the `save_csv` layout, header x0,...,x{d-1}[,label] first; a
+        malformed line raises naming file and line."""
         with open(path) as fh:
             header = fh.readline().strip().split(",")
             rows = [(i, line.strip().split(",")) for i, line in enumerate(fh, 2) if line.strip()]
         width = len(header)
         has_label = header[-1] == "label"
         dim = width - (1 if has_label else 0)
+        if dim < 1 or header[:dim] != [f"x{j}" for j in range(dim)]:
+            got = ",".join(header)
+            raise ValueError(f"{path}:1: expected the header x0,...,x{{d-1}}[,label], got {got!r}")
         points, labels = [], []
         for lineno, fields in rows:
             if len(fields) != width:
@@ -271,16 +277,6 @@ def component_log_densities(params: MixtureParams, points: np.ndarray) -> np.nda
     return -0.5 * quad - log_norm[None, :]
 
 
-def component_logpdf(params: MixtureParams, point, k: int) -> float:
-    """Log density of component k at a single point."""
-    if not 0 <= k < params.n_components:
-        raise IndexError(f"component index {k} out of range")
-    pt = _as_float_array(point, "point").reshape(1, -1)
-    if pt.shape[1] != params.dim:
-        raise ValueError("point dimension does not match the mixture")
-    return float(component_log_densities(params, pt)[0, k])
-
-
 def neg_loglik(params: MixtureParams, data: Dataset) -> float:
     """Sample negative log-likelihood ell = -(1/N) sum_i log q_theta(Y_i)."""
     return neg_loglik_from_log_densities(
@@ -315,50 +311,35 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """log sum_k exp(a_ik) for each row of an (N, K) array.
+def _softmax_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one row normaliser: `a` (N, K) becomes exp(a - row max) in place.
 
-    The arithmetic of scipy.special.logsumexp, step for step (shift by the row
-    maximum, count the maxima apart, log1p of the rest over that count, and
-    the direct formula where that is not finite), so the values match it bit
-    for bit; its per-call dispatch costs more than the sum at these sizes.
+    Returns the row maxima and the shifted row sums: the softmax is
+    `a / sum[:, None]` and the log-sum-exp `max + log(sum)`.  The shift is
+    exact for same-magnitude logits, so rows normalise to machine precision
+    even when the logits are ~1e11.
     """
-    a_max = _row_max(a)[:, None]
-    is_max = a == a_max
-    count = _row_sum(is_max.astype(float))[:, None]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        e = np.exp(a - a_max)
-        e[is_max] = 0.0
-        s = _row_sum(e)[:, None]
-        s = np.where(s == 0, s, s / count)
-        out = (np.log1p(s) + np.log(count) + a_max)[:, 0]
-        bad = ~np.isfinite(out)
-        if bad.any():
-            out[bad] = np.log(_row_sum(np.exp(a[bad])))
-    return out
+    row_max = _row_max(a)
+    a -= row_max[:, None]
+    np.exp(a, out=a)
+    return row_max, _row_sum(a)
 
 
 def neg_loglik_from_log_densities(log_densities: np.ndarray, weights: np.ndarray) -> float:
     """neg_loglik from a precomputed (N, K) log-density matrix."""
-    return float(-np.mean(_logsumexp_rows(log_densities + np.log(weights)[None, :])))
+    row_max, row_sum = _softmax_rows(log_densities + np.log(weights)[None, :])
+    return float(-np.mean(row_max + np.log(row_sum)))
 
 
 def responsibility_matrix(log_densities: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Row-normalized posterior weights from precomputed log densities.
+    """Bayes responsibilities alpha_k q_k(Y_i) / sum_k' alpha_k' q_k'(Y_i).
 
-    Max-shifted softmax: the shift is exact for same-magnitude logits, so
-    rows normalize to machine precision even when log densities are ~1e11.
+    The row softmax of `_softmax_rows` on the (N, K) log densities plus the
+    log weights; the Sinkhorn E-step is the same softmax at tilted weights.
     """
-    logits = log_densities + np.log(weights)[None, :]
-    shifted = logits - _row_max(logits)[:, None]
-    e = np.exp(shifted)
-    return e / _row_sum(e)[:, None]
-
-
-def vanilla_responsibilities(params: MixtureParams, data: Dataset) -> Responsibilities:
-    """Plain Bayes responsibilities Psi_ik = alpha_k q_k(Y_i) / sum_k' ..."""
-    logq = component_log_densities(params, data.points)
-    return Responsibilities(responsibility_matrix(logq, params.weights))
+    e = log_densities + np.log(weights)[None, :]
+    _, row_sum = _softmax_rows(e)
+    return np.divide(e, row_sum[:, None], out=e)
 
 
 def _make_rng(seed) -> np.random.Generator:

@@ -27,12 +27,22 @@ from .mixtures import (
     Dataset,
     MixtureParams,
     Responsibilities,
-    _logsumexp_rows,
-    _row_max,
-    _row_sum,
+    _softmax_rows,
     component_log_densities,
     neg_loglik,
 )
+
+
+# Geometric-tail extrapolation: on near-saturated plans successive updates run
+# near parallel (cosine > TAIL_COSINE) and shrink by a steady ratio in
+# (TAIL_RATIO_LOW, TAIL_RATIO_HIGH), so the remaining ratio / (1 - ratio)
+# updates are taken in one jump of at most TAIL_MAX_JUMP.  MARGINAL_FLOOR
+# keeps the log of an underflowed column marginal finite.
+TAIL_COSINE = 0.999
+TAIL_RATIO_LOW = 0.8
+TAIL_RATIO_HIGH = 0.9999
+TAIL_MAX_JUMP = 2000.0
+MARGINAL_FLOOR = 1e-300
 
 
 class SinkhornNonConvergence(UserWarning):
@@ -55,9 +65,9 @@ class SinkhornConfig:
 
 def tilt_weights(weights: np.ndarray, potentials: np.ndarray) -> np.ndarray:
     """Tilted weights alpha_k e^{omega_k} / sum_k' alpha_k' e^{omega_k'}."""
-    logits = np.log(weights) + potentials
-    logits -= _logsumexp_rows(logits[None, :])[0]
-    return np.exp(logits)
+    tilted = (np.log(weights) + potentials)[None, :]
+    _, total = _softmax_rows(tilted)
+    return tilted[0] / total[0]
 
 
 @dataclass(frozen=True)
@@ -65,6 +75,10 @@ class SinkhornSolution:
     """Dual potentials, transport plan, and solve diagnostics.
 
     The tilted weights follow from the potentials: `tilt_weights(weights, potentials)`.
+    When `converged` is False the potentials are one step past the plan (the
+    next update, or the rollback of an overshot extrapolation): the plan and
+    `marginal_error` describe the previous potentials, and a warm start from
+    the returned ones continues the solve.
     """
 
     potentials: np.ndarray
@@ -102,11 +116,9 @@ def transport_responsibilities(
     boosted = False
     prev_omega = omega
     for iterations in range(1, cfg.max_iterations + 1):
-        # max-shifted row softmax keeps rows exact even for huge costs
         np.add(log_kernel, (log_w + omega)[None, :], out=buf)
-        buf -= _row_max(buf)[:, None]
-        np.exp(buf, out=buf)
-        buf /= _row_sum(buf)[:, None]
+        _, row_sum = _softmax_rows(buf)
+        buf /= row_sum[:, None]
         marginal = np.add.reduce(buf, axis=0) / n
         error = float(np.abs(marginal - weights).max())
         if error <= cfg.tolerance:
@@ -119,21 +131,19 @@ def transport_responsibilities(
             prev_update = None
             continue
         prev_error = error
-        update = log_w - np.log(np.maximum(marginal, 1e-300))
+        update = log_w - np.log(np.maximum(marginal, MARGINAL_FLOOR))
         prev_omega = omega + update
         omega = prev_omega
         boosted = False
         if prev_update is not None:
-            # near-saturated plans make the scaling drift: successive updates
-            # become parallel with slowly shrinking norm, so the remaining
-            # travel is a geometric tail worth jumping in one go
+            # jump the geometric tail (see TAIL_COSINE)
             nu = math.sqrt(update.dot(update))
             np_prev = math.sqrt(prev_update.dot(prev_update))
             if nu > 0 and np_prev > 0:
                 cos = float(np.dot(update, prev_update)) / (nu * np_prev)
                 ratio = nu / np_prev
-                if cos > 0.999 and 0.8 < ratio < 0.9999:
-                    omega = omega + min(ratio / (1.0 - ratio), 2000.0) * update
+                if cos > TAIL_COSINE and TAIL_RATIO_LOW < ratio < TAIL_RATIO_HIGH:
+                    omega = omega + min(ratio / (1.0 - ratio), TAIL_MAX_JUMP) * update
                     boosted = True
         prev_update = update
         # the potentials are defined up to a constant: pin omega_K = 0
@@ -196,8 +206,8 @@ def semidual_value(log_kernel: np.ndarray, weights: np.ndarray, potentials: np.n
 
     sum_k alpha_k omega_k - (1/N) sum_i log sum_k alpha_k e^{omega_k} K_ik.
     """
-    logits = log_kernel + (np.log(weights) + potentials)[None, :]
-    return float(np.dot(weights, potentials) - np.mean(_logsumexp_rows(logits)))
+    row_max, row_sum = _softmax_rows(log_kernel + (np.log(weights) + potentials)[None, :])
+    return float(np.dot(weights, potentials) - np.mean(row_max + np.log(row_sum)))
 
 
 def loss_entropic_semidual(

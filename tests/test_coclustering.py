@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -112,6 +113,38 @@ class TestNonFiniteInput:
         init = random_block_init(12, 10, 2, 2, 0)
         with pytest.raises(ValueError, match="data contains non-finite"):
             fit(y, 2, 2, init, FitConfig())
+
+
+# override: (argument, value, expected error text); K = G = 2
+BAD_OVERRIDES = {
+    "variance-zero": ("variances", 0.0, "variances must be >= 1e-06"),
+    "variance-nan": ("variances", np.nan, "variances contains non-finite entries"),
+    "variance-shape": ("variances", np.ones((3, 2)), "variances of shape (3, 2) must broadcast to (2, 2)"),
+    "row-sum": ("row_weights", [0.7, 0.7], "row_weights must be 2 positive numbers summing to 1"),
+    "col-shape": ("col_weights", [1.0], "col_weights must be 2 positive numbers summing to 1"),
+}
+
+
+class TestOverrides:
+    @pytest.mark.parametrize("fit", [vem_fit, svem_fit])
+    @pytest.mark.parametrize("case", sorted(BAD_OVERRIDES))
+    def test_bad_override_fails_before_fitting(self, case, fit, rng):
+        name, value, expected = BAD_OVERRIDES[case]
+        y = rng.normal(size=(12, 10))
+        # an empty row class: any fitting step would raise EmptyBlockError first
+        z = one_hot(np.zeros(12, dtype=int), 2)
+        init = BlockResponsibilities(z, random_block_init(12, 10, 2, 2, 0).w)
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            fit(y, 2, 2, init, FitConfig(), **{name: value})
+
+    def test_valid_overrides_are_used(self, rng):
+        y = rng.normal(size=(12, 10))
+        init = random_block_init(12, 10, 2, 2, 0)
+        model, _, _ = vem_fit(
+            y, 2, 2, init, FitConfig(), variances=[[0.5], [0.25]], row_weights=[0.25, 0.75]
+        )
+        assert np.array_equal(model.variances, [[0.5, 0.5], [0.25, 0.25]])
+        assert np.array_equal(model.row_weights, [0.25, 0.75])
 
 
 class TestVemFit:

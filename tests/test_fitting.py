@@ -22,8 +22,8 @@ from otmix import (
     sem_fit,
     sinkhorn_estep,
     update_weights_eg,
-    vanilla_responsibilities,
 )
+from otmix.mixtures import component_log_densities, responsibility_matrix
 from conftest import random_instance
 
 
@@ -77,7 +77,8 @@ class TestMstep:
 
     def test_variance_update_regimes(self, rng):
         params, data = random_instance(rng, k=3, d=2, n=150)
-        resp = vanilla_responsibilities(params, data)
+        logq = component_log_densities(params, data.points)
+        resp = Responsibilities(responsibility_matrix(logq, params.weights))
         psi = resp.matrix
         y = data.points
         for kind in ("shared", "spherical", "diagonal"):

@@ -68,6 +68,16 @@ BAD_INPUTS = {
         "cocluster --data {tmp}/m.csv --k 0 --g 2 --method vem --out-model {tmp}/m.json",
         "K=0 and G=2 must lie in 1..3 and 1..2",
     ),
+    "sigma2-zero": (
+        {"m.csv": "1,2\n3,4\n5,6\n"},
+        "cocluster --data {tmp}/m.csv --k 2 --g 2 --sigma2 0 --method svem --out-model {tmp}/m.json",
+        "variances must be >= 1e-06",
+    ),
+    "headerless": (
+        {"d.csv": "0.1,0.2\n0.3,0.4\n0.5,0.6\n"},
+        "fit --data {tmp}/d.csv --method em --k 2",
+        "{tmp}/d.csv:1: expected the header x0,...,x{{d-1}}[,label], got '0.1,0.2'",
+    ),
 }
 
 

@@ -372,7 +372,7 @@ class TestBalanceResidual:
         params = scalar_params([2.0])
         data = Dataset(np.array([[0.0], [1.0], [5.0]]))
         sol = sinkhorn_estep(params, data, SinkhornConfig())
-        assert balance_residual(params, data, sol) == pytest.approx(0.0, abs=1e-12)
+        assert balance_residual(params, data, sol.responsibilities) == pytest.approx(0.0, abs=1e-12)
 
     def test_converged_sem_fit_small_residual(self, rng):
         tol = 1e-6
@@ -380,5 +380,5 @@ class TestBalanceResidual:
         cfg = FitConfig(sinkhorn=SinkhornConfig(tolerance=tol, max_iterations=50000))
         report = sem_fit(data, params, cfg)
         sol = sinkhorn_estep(report.final_params, data, cfg.sinkhorn)
-        res = balance_residual(report.final_params, data, sol)
+        res = balance_residual(report.final_params, data, sol.responsibilities)
         assert res <= 10 * tol * np.max(np.abs(data.points))

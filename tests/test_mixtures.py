@@ -9,12 +9,11 @@ from otmix import (
     MixtureParams,
     Responsibilities,
     VarianceSpec,
-    component_logpdf,
+    component_log_densities,
     neg_loglik,
     sample_mixture,
-    vanilla_responsibilities,
 )
-from otmix.mixtures import _logsumexp_rows, _row_max, _row_sum
+from otmix.mixtures import _row_max, _row_sum, _softmax_rows, responsibility_matrix
 from conftest import random_instance, random_params
 
 
@@ -55,30 +54,44 @@ class TestValidation:
             Responsibilities(np.array([[0.5, 0.4]]))
 
 
+def responsibilities(params, data):
+    """Bayes responsibilities of the data under the mixture."""
+    logq = component_log_densities(params, data.points)
+    return Responsibilities(responsibility_matrix(logq, params.weights))
+
+
 class TestComponentLogpdf:
+    """`component_log_densities` entry by entry, against closed forms."""
+
     def test_standard_normal_at_mode(self):
         p = scalar_params([0.0])
-        assert component_logpdf(p, [0.0], 0) == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-12)
+        logq = component_log_densities(p, [[0.0]])
+        assert logq[0, 0] == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-12)
 
     def test_two_dim_standard_normal(self):
         p = MixtureParams(np.zeros((1, 2)), VarianceSpec.shared(1.0), np.array([1.0]))
-        assert component_logpdf(p, [0.0, 0.0], 0) == pytest.approx(-math.log(2 * math.pi), abs=1e-12)
+        logq = component_log_densities(p, [[0.0, 0.0]])
+        assert logq[0, 0] == pytest.approx(-math.log(2 * math.pi), abs=1e-12)
 
     def test_hand_evaluated_gaussian(self):
         # mean 2, variance 4, evaluated at 0
         p = scalar_params([2.0], var=4.0)
         expected = -0.5 * math.log(2 * math.pi * 4.0) - 0.5
-        assert component_logpdf(p, [0.0], 0) == pytest.approx(expected, abs=1e-12)
+        assert component_log_densities(p, [[0.0]])[0, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_index_out_of_range(self):
-        p = scalar_params([0.0])
+        # one row per point, one column per component, and no more
+        p = scalar_params([0.0, 3.0])
+        logq = component_log_densities(p, [[0.0], [1.0], [2.0]])
+        assert logq.shape == (3, 2)
         with pytest.raises(IndexError):
-            component_logpdf(p, [0.0], 1)
+            logq[0, 2]
 
     def test_nonfinite_point_rejected(self):
+        # points are checked once, where they enter: the Dataset
         p = scalar_params([0.0])
-        with pytest.raises(ValueError):
-            component_logpdf(p, [np.inf], 0)
+        with pytest.raises(ValueError, match="points contains non-finite entries"):
+            neg_loglik(p, Dataset(np.array([[np.inf]])))
 
 
 class TestNegLoglik:
@@ -107,12 +120,13 @@ class TestNegLoglik:
         d = Dataset(np.array([[0.0, 0.0], [500.0, 0.0]]))
         value = neg_loglik(p, d)
         assert np.isfinite(value)
-        resp = vanilla_responsibilities(p, d)
+        resp = responsibilities(p, d)
         assert np.all(np.isfinite(resp.matrix))
 
 
 class TestRowReductions:
-    """The row helpers give numpy's and scipy's values bit for bit."""
+    """The row max and sum give numpy's values bit for bit; the normaliser
+    built on them matches the direct formulas up to rounding."""
 
     def _arrays(self):
         rng = np.random.default_rng(7)
@@ -135,29 +149,39 @@ class TestRowReductions:
                 assert np.array_equal(_row_sum(x), x.sum(axis=1), equal_nan=True)
                 assert np.array_equal(np.signbit(_row_sum(x)), np.signbit(x.sum(axis=1)))
 
-    def test_logsumexp_rows_matches_scipy(self):
-        for a in self._arrays():
-            assert np.array_equal(_logsumexp_rows(a), logsumexp(a, axis=1), equal_nan=True)
+    def test_softmax_rows(self):
+        rng = np.random.default_rng(11)
+        for k in range(1, 21):
+            a = rng.normal(size=(300, k)) * rng.choice([1e-3, 1.0, 300.0], size=(300, 1))
+            e = a.copy()
+            row_max, row_sum = _softmax_rows(e)
+            assert np.array_equal(row_max, a.max(axis=1))
+            assert np.all(e <= 1.0) and np.all(e.max(axis=1) == 1.0)
+            lse = logsumexp(a, axis=1)
+            np.testing.assert_allclose(e / row_sum[:, None], np.exp(a - lse[:, None]), rtol=1e-12, atol=1e-300)
+            np.testing.assert_allclose(row_max + np.log(row_sum), lse, rtol=1e-14, atol=0)
 
 
 class TestVanillaResponsibilities:
+    """`responsibility_matrix`: plain Bayes responsibilities."""
+
     def test_single_component_all_ones(self):
         p = scalar_params([3.0])
         d = Dataset(np.array([[0.0], [10.0]]))
-        resp = vanilla_responsibilities(p, d)
+        resp = responsibilities(p, d)
         assert np.allclose(resp.matrix, 1.0)
 
     def test_equidistant_point_splits_evenly(self):
         p = scalar_params([-1.0, 1.0])
         d = Dataset(np.array([[0.0]]))
-        resp = vanilla_responsibilities(p, d)
+        resp = responsibilities(p, d)
         assert np.allclose(resp.matrix[0], [0.5, 0.5], atol=1e-14)
 
     def test_logistic_of_log_density_gap(self):
         # K=2, equal weights, theta=(0,1), y=0: gap is 0.5
         p = scalar_params([0.0, 1.0])
         d = Dataset(np.array([[0.0]]))
-        resp = vanilla_responsibilities(p, d)
+        resp = responsibilities(p, d)
         sigma = 1.0 / (1.0 + math.exp(-0.5))
         assert resp.matrix[0, 0] == pytest.approx(sigma, abs=1e-12)
         assert resp.matrix[0, 1] == pytest.approx(1.0 - sigma, abs=1e-12)
@@ -165,15 +189,15 @@ class TestVanillaResponsibilities:
     def test_rows_sum_to_one_on_random_instances(self, rng):
         for _ in range(25):
             params, data = random_instance(rng)
-            resp = vanilla_responsibilities(params, data)
+            resp = responsibilities(params, data)
             assert np.max(np.abs(resp.matrix.sum(axis=1) - 1.0)) < 1e-10
 
     def test_permutation_equivariance(self, rng):
         for _ in range(10):
             params, data = random_instance(rng, k=4)
             perm = rng.permutation(4)
-            resp = vanilla_responsibilities(params, data)
-            resp_p = vanilla_responsibilities(params.permuted(perm), data)
+            resp = responsibilities(params, data)
+            resp_p = responsibilities(params.permuted(perm), data)
             assert np.allclose(resp_p.matrix, resp.matrix[:, perm], atol=1e-12)
             assert neg_loglik(params, data) == pytest.approx(
                 neg_loglik(params.permuted(perm), data), abs=1e-12

@@ -2,7 +2,9 @@
 relabelling the components and under translating the data; the entropic
 loss agrees with its semi-dual form at any potentials and dominates the
 negative log-likelihood at solved ones; the solver's plan stays row-stochastic
-on extreme kernels.
+on extreme kernels; a Sinkhorn-EM fit descends its semi-dual loss within
+solver slack, and every Sinkhorn-EM M-step keeps the weighted centres on the
+data mean (the balance identity).
 
 Both symmetries hold exactly in exact arithmetic; in floating point the
 fits agree up to rounding and Sinkhorn slack, hence a tight solver tolerance
@@ -26,6 +28,7 @@ from otmix import (
     em_fit,
     loss_entropic,
     loss_entropic_semidual,
+    mstep_gaussian,
     neg_loglik,
     sample_mixture,
     sem_fit,
@@ -164,3 +167,32 @@ def test_plan_on_extreme_kernels(n, k, seed, tolerance):
     assert np.max(np.abs(plan.matrix.sum(axis=1) - 1.0)) <= 1e-10
     if solution.converged:
         assert np.max(np.abs(plan.column_means() - weights)) <= tolerance
+
+
+@PROPERTY_SETTINGS
+@given(problem=problems())
+def test_sem_fit_descends_the_semidual_loss(problem):
+    dataset, init, update_variances = problem
+    tol = 1e-4
+    cfg = FitConfig(
+        max_outer_iterations=30,
+        param_change_tolerance=1e-8,
+        sinkhorn=SinkhornConfig(tolerance=tol, max_iterations=20000),
+        update_variances=update_variances,
+    )
+    losses = [big_l for _, big_l in sem_fit(dataset, init, cfg).loss_trace]
+    assert all(b <= a + 10 * tol for a, b in zip(losses, losses[1:]))
+
+
+@PROPERTY_SETTINGS
+@given(problem=problems())
+def test_every_sem_mstep_balances_the_weighted_centres(problem):
+    dataset, params, _ = problem
+    tol = 1e-6
+    cfg = SinkhornConfig(tolerance=tol, max_iterations=100000)
+    bound = 10 * tol * np.max(np.abs(dataset.points))
+    for _ in range(OUTER_STEPS):
+        solution = sinkhorn_estep(params, dataset, cfg)
+        params = mstep_gaussian(dataset, solution.responsibilities, params.variances, params.weights)
+        gap = params.weights @ params.locations - dataset.points.mean(axis=0)
+        assert np.max(np.abs(gap)) <= bound
