@@ -37,11 +37,9 @@ from .fitting import (
     EmptyComponentError,
     FitConfig,
     FitReport,
-    coordinate_descent_fit,
     em_fit,
     mstep_gaussian,
     sem_fit,
-    update_weights_eg,
 )
 from .metrics import (
     ManyFitOneDiagnostic,

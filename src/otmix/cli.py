@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .coclustering import random_block_init, svem_fit, vem_fit
-from .fitting import FitConfig, coordinate_descent_fit, em_fit, sem_fit
+from .fitting import FitConfig, em_fit, sem_fit
 from .harness import (
     _sample_truth,
     _task_rng,
@@ -27,7 +27,7 @@ from .harness import (
     write_rows_csv,
 )
 from .metrics import kmeans_labels, kmeanspp_init, lloyd_kmeans
-from .mixtures import Dataset, VarianceSpec, sample_mixture
+from .mixtures import TIED_AXES, Dataset, VarianceSpec, sample_mixture
 from .sinkhorn import SinkhornConfig, SinkhornNonConvergence
 from .twogauss import (
     TwoGaussModel,
@@ -38,10 +38,12 @@ from .twogauss import (
 
 
 def _add_fit_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-iter", type=int, default=100, help="outer iteration cap")
-    p.add_argument("--tol", type=float, default=1e-3, help="L1 parameter-change tolerance")
-    p.add_argument("--sinkhorn-tol", type=float, default=1e-3)
-    p.add_argument("--sinkhorn-max-iter", type=int, default=1000)
+    p.add_argument("--max-iter", type=int, default=FitConfig.max_outer_iterations,
+                   help="outer iteration cap")
+    p.add_argument("--tol", type=float, default=FitConfig.param_change_tolerance,
+                   help="L1 parameter-change tolerance")
+    p.add_argument("--sinkhorn-tol", type=float, default=SinkhornConfig.tolerance)
+    p.add_argument("--sinkhorn-max-iter", type=int, default=SinkhornConfig.max_iterations)
     p.add_argument("--update-variances", action="store_true")
     p.add_argument("--update-weights", action="store_true")
 
@@ -77,8 +79,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_fit(args) -> int:
     data = Dataset.load_csv(args.data)
     init = kmeanspp_init(data, args.k, _task_rng(args.seed, 0, 0, 2))
-    shape = {"shared": (), "spherical": (args.k,), "diagonal": (args.k, data.dim)}
-    values = np.full(shape[args.variance_kind], float(args.sigma2))
+    shape = VarianceSpec.value_shape(args.variance_kind, args.k, data.dim)
+    values = np.full(shape, float(args.sigma2))
     init = init.with_variances(
         VarianceSpec(args.variance_kind, values, fixed=not args.update_variances)
     )
@@ -93,12 +95,8 @@ def _cmd_fit(args) -> int:
                 "labels": kmeans_labels(params, data).tolist(),
             }
         else:
-            if args.method == "em":
-                report = em_fit(data, init, cfg, seed=args.seed)
-            elif args.update_weights:
-                report = coordinate_descent_fit(data, init, cfg, seed=args.seed)
-            else:
-                report = sem_fit(data, init, cfg, seed=args.seed)
+            fit = em_fit if args.method == "em" else sem_fit
+            report = fit(data, init, cfg, seed=args.seed)
             params = report.final_params
             report_dict = report.to_json_dict(include_trace=args.trace)
     if args.out_params:
@@ -216,8 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("kmeans", "em", "sem"), required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--variance-kind", choices=("shared", "spherical", "diagonal"),
-                   default="shared")
+    p.add_argument("--variance-kind", choices=tuple(TIED_AXES), default="shared")
     p.add_argument("--sigma2", type=float, default=1.0, help="initial/known variance")
     p.add_argument("--trace", action="store_true", help="include the loss trace")
     p.add_argument("--out-params", default=None)

@@ -6,10 +6,17 @@ log kernel at the current parameters, runs the E-step, appends the
 M-step.  The stopping rule is the L1 change over all parameters below a
 tolerance, or an iteration cap.  Only the E-step differs: plain Bayes
 responsibilities for EM, the entropic-OT plan (warm-started from the previous
-potentials) for Sinkhorn-EM.  Weight inference never happens inside the
-Sinkhorn-EM loop itself (the marginal constraint pins the weights);
-`coordinate_descent_fit` alternates Sinkhorn-EM in the locations with
-exponentiated-gradient updates of the weights.
+potentials) for Sinkhorn-EM.
+
+Each fit's two model choices have one home.  The variance regime (kind, and
+whether it is estimated) is the initial parameters' `VarianceSpec`, which the
+M-step pools through; `FitConfig.update_variances` sets its fixed flag.
+`FitConfig.update_weights` means "infer the weights": EM takes them in
+closed form (the responsibility column means) in its M-step, and Sinkhorn-EM,
+whose E-step pins the column means to the weights, runs block-coordinate
+descent instead (`_coordinate_descent`: Sinkhorn-EM in the locations at
+frozen weights, then exponentiated-gradient steps on the weights; Mena et
+al., "Sinkhorn EM", 2020).
 """
 
 from __future__ import annotations
@@ -51,7 +58,13 @@ class EmptyComponentError(RuntimeError):
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Outer-loop knobs and update switches shared by all fitters."""
+    """Outer-loop knobs and update switches shared by all fitters.
+
+    update_variances: estimate the variances (the initial VarianceSpec's
+    kind says which values are tied); otherwise they stay as given.
+    update_weights: infer the weights; EM in closed form, Sinkhorn-EM
+    (`sem_fit`) by block-coordinate descent.  Otherwise they stay as given.
+    """
 
     max_outer_iterations: int = 100
     param_change_tolerance: float = 1e-3
@@ -112,13 +125,13 @@ def mstep_gaussian(
     """Weighted-mean location update plus per-regime variance update.
 
     Locations: theta_k = sum_i Psi_ik Y_i / sum_i Psi_ik.  Variances are
-    updated only when spec.fixed is False, using the matching weighted
-    second-moment formula, projected onto the variance floor.  Weights pass
+    updated only when spec.fixed is False: each value is the weighted squared
+    deviation pooled over the entries it ties, divided by the mass pooled
+    over the same entries, projected onto the variance floor.  Weights pass
     through unchanged.
     """
     psi = resp.matrix
     y = data.points
-    n, d = y.shape
     col_mass = psi.sum(axis=0)
     low = int(np.argmin(col_mass))
     if col_mass[low] < EMPTY_COMPONENT_THRESHOLD:
@@ -131,15 +144,8 @@ def mstep_gaussian(
     else:
         diff = y[:, None, :] - locations[None, :, :]  # (N, K, d)
         wsq = np.einsum("ik,ikj->kj", psi, diff**2)  # (K, d)
-        if spec.kind == "shared":
-            value = wsq.sum() / (n * d)
-            new_spec = VarianceSpec.shared(float(_floored(np.asarray(value))), fixed=False)
-        elif spec.kind == "spherical":
-            values = wsq.sum(axis=1) / (col_mass * d)
-            new_spec = VarianceSpec.spherical(_floored(values), fixed=False)
-        else:
-            values = wsq / col_mass[:, None]
-            new_spec = VarianceSpec.diagonal(_floored(values), fixed=False)
+        mass_kd = np.broadcast_to(col_mass[:, None], wsq.shape)
+        new_spec = replace(spec, values=_floored(spec.pool(wsq) / spec.pool(mass_kd)))
 
     return MixtureParams(locations, new_spec, np.asarray(weights, dtype=float))
 
@@ -188,6 +194,7 @@ def _fit(
         converged = change < cfg.param_change_tolerance
         if converged or iterations == cfg.max_outer_iterations:
             break
+        # Sinkhorn-EM's E-step pins the weights; `_coordinate_descent` infers them
         update_weights = cfg.update_weights and not transport
         weights = resp.column_means() if update_weights else params.weights
         new_params = mstep_gaussian(data, resp, params.variances, weights)
@@ -210,28 +217,17 @@ def em_fit(data: Dataset, init: MixtureParams, cfg: FitConfig, seed=None) -> Fit
     return _fit(data, init, cfg, seed, transport=False)
 
 
-def sem_fit(
-    data: Dataset,
-    init: MixtureParams,
-    cfg: FitConfig,
-    seed=None,
-    initial_potentials: np.ndarray | None = None,
-) -> FitReport:
+def sem_fit(data: Dataset, init: MixtureParams, cfg: FitConfig, seed=None) -> FitReport:
     """Sinkhorn-EM: transport E-step at fixed weights, Gaussian M-step.
 
     The entropic loss trace is evaluated from each E-step's potentials, so it
     costs nothing extra; it is non-increasing up to solver slack.  Potentials
-    are warm-started across outer iterations (and from `initial_potentials`
-    when given).
+    are warm-started across outer iterations.  With cfg.update_weights the
+    weights are inferred by block-coordinate descent (`_coordinate_descent`).
     """
-    return _fit(data, init, cfg, seed, transport=True, omega=initial_potentials)
-
-
-def update_weights_eg(alpha: np.ndarray, gradient: np.ndarray, eta: float) -> np.ndarray:
-    """Multiplicative (exponentiated-gradient) simplex step: alpha tilted by -eta * gradient."""
-    if eta < 0:
-        raise ValueError("eta must be nonnegative")
-    return tilt_weights(np.asarray(alpha, dtype=float), -eta * np.asarray(gradient, dtype=float))
+    if cfg.update_weights:
+        return _coordinate_descent(data, init, cfg, seed)
+    return _fit(data, init, cfg, seed, transport=True)
 
 
 # Protocol value of the first exponentiated-gradient step; backtracking halves it.
@@ -240,21 +236,17 @@ MAX_ETA_HALVINGS = 30
 MAX_ALPHA_ITERATIONS = 50
 
 
-def coordinate_descent_fit(
-    data: Dataset, init: MixtureParams, cfg: FitConfig, seed=None
-) -> FitReport:
+def _coordinate_descent(data: Dataset, init: MixtureParams, cfg: FitConfig, seed) -> FitReport:
     """Block-coordinate descent over locations and weights.
 
     Alternates (a) Sinkhorn-EM to theta-stationarity at frozen weights with
-    (b) exponentiated-gradient weight updates backtracked on the step size
-    (start at WEIGHT_STEP, halve until the entropic loss decreases, at
-    most 30 halvings, otherwise keep the current weights).  Stops when the
-    joint L1 parameter change over an outer round falls below tolerance.
+    (b) exponentiated-gradient weight updates, alpha tilted by -eta * gradient,
+    backtracked on the step size eta (start at WEIGHT_STEP, halve until the
+    entropic loss decreases, at most 30 halvings, otherwise keep the current
+    weights).  Stops when the joint L1 parameter change over an outer round
+    falls below tolerance.
     """
-    if not cfg.update_weights:
-        raise ValueError("coordinate_descent_fit requires cfg.update_weights=True")
     t0 = time.perf_counter()
-    theta_cfg = replace(cfg, update_weights=False)
     params = _effective_init(init, cfg)
     trace = []
     converged = False
@@ -265,7 +257,7 @@ def coordinate_descent_fit(
         round_start = params
 
         # (a) theta phase
-        last_report = sem_fit(data, params, theta_cfg, initial_potentials=carry_omega)
+        last_report = _fit(data, params, cfg, None, transport=True, omega=carry_omega)
         all_solves_converged &= last_report.sinkhorn_converged
         params = last_report.final_params
         trace.extend(last_report.loss_trace[:-1])
@@ -284,7 +276,7 @@ def coordinate_descent_fit(
             eta = WEIGHT_STEP
             accepted = False
             for _ in range(MAX_ETA_HALVINGS + 1):
-                candidate_w = update_weights_eg(params.weights, gradient, eta)
+                candidate_w = tilt_weights(params.weights, -eta * gradient)
                 cand_solution = transport_responsibilities(
                     log_kernel, candidate_w, cfg.sinkhorn, omega
                 )

@@ -28,13 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fitting import (
-    EmptyComponentError,
-    FitConfig,
-    coordinate_descent_fit,
-    em_fit,
-    sem_fit,
-)
+from .fitting import EmptyComponentError, FitConfig, em_fit, sem_fit
 from .metrics import (
     adjusted_rand_index,
     balance_residual,
@@ -88,10 +82,10 @@ class ExperimentSpec:
     methods: tuple = METHODS
     selection: str = "per-seed"
     master_seed: int = 0
-    max_outer_iterations: int = 100
-    param_change_tolerance: float = 1e-3
-    sinkhorn_tolerance: float = 1e-3
-    sinkhorn_max_iterations: int = 1000
+    max_outer_iterations: int = FitConfig.max_outer_iterations
+    param_change_tolerance: float = FitConfig.param_change_tolerance
+    sinkhorn_tolerance: float = SinkhornConfig.tolerance
+    sinkhorn_max_iterations: int = SinkhornConfig.max_iterations
 
     def __post_init__(self):
         for name in ("ks", "ds", "sigma2s", "ns", "variance_regimes", "methods"):
@@ -265,13 +259,8 @@ def _run_one_method(method, data, init, spec: ExperimentSpec, regime):
             "converged": True,
             "bic": None,
         }
-    cfg = spec.fit_config(update_vars, infer_weights)
-    if method == "em":
-        report = em_fit(data, init, cfg)
-    elif infer_weights:
-        report = coordinate_descent_fit(data, init, cfg)
-    else:
-        report = sem_fit(data, init, cfg)
+    fit = em_fit if method == "em" else sem_fit
+    report = fit(data, init, spec.fit_config(update_vars, infer_weights))
     params = report.final_params
     labels = np.argmax(report.responsibilities.matrix, axis=1)
     ell = neg_loglik(params, data)
@@ -393,11 +382,7 @@ def run_spurious_demo(
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     truth = spurious_truth(D, R, sigma)
-    cfg = FitConfig(
-        max_outer_iterations=300,
-        param_change_tolerance=1e-4,
-        sinkhorn=SinkhornConfig(tolerance=1e-3, max_iterations=1000),
-    )
+    cfg = FitConfig(max_outer_iterations=300, param_change_tolerance=1e-4)
     rows = []
     for trial in range(trials):
         data = sample_mixture(truth, n, _task_rng(seed, trial, 0))

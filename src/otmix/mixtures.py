@@ -23,7 +23,10 @@ VARIANCE_FLOOR = 1e-6
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
-VARIANCE_KINDS = ("shared", "spherical", "diagonal")
+# The variance kinds.  Each ties the entries of the (K, d) variance matrix
+# along these axes (0: components, 1: coordinates) to one value, so its
+# values have the (K, d) shape with the tied axes removed.
+TIED_AXES = {"shared": (0, 1), "spherical": (1,), "diagonal": ()}
 
 
 def _as_float_array(x, name: str) -> np.ndarray:
@@ -35,14 +38,19 @@ def _as_float_array(x, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class VarianceSpec:
-    """Variance regime of a mixture.
+    """Variance regime of a mixture: the one place that knows the variance kinds.
 
-    kind:
+    kind (a key of TIED_AXES):
       - "shared":    one spherical variance for all components; values is a scalar.
       - "spherical": one spherical variance per component; values has shape (K,).
       - "diagonal":  per-component axis-aligned variances; values has shape (K, d).
 
     fixed: whether M-steps leave the values untouched.
+
+    Everything that depends on the kind goes through `expand` (values to the
+    (K, d) matrix) and `pool` (a (K, d) array back to the shape of values,
+    its adjoint); the M-step, the entropic gradient and the BIC parameter
+    count are written once for all kinds in terms of these two.
     """
 
     kind: str
@@ -50,10 +58,10 @@ class VarianceSpec:
     fixed: bool = True
 
     def __post_init__(self):
-        if self.kind not in VARIANCE_KINDS:
+        if self.kind not in TIED_AXES:
             raise ValueError(f"unknown variance kind {self.kind!r}")
         vals = _as_float_array(self.values, "variances")
-        expected_ndim = {"shared": 0, "spherical": 1, "diagonal": 2}[self.kind]
+        expected_ndim = 2 - len(TIED_AXES[self.kind])
         if vals.ndim != expected_ndim:
             raise ValueError(
                 f"variance kind {self.kind!r} requires a {expected_ndim}-d array, "
@@ -75,28 +83,38 @@ class VarianceSpec:
     def diagonal(cls, values, fixed: bool = True) -> "VarianceSpec":
         return cls("diagonal", values, fixed)
 
+    @staticmethod
+    def value_shape(kind: str, n_components: int, dim: int) -> tuple:
+        """Shape of the values of `kind` for K components in d dimensions."""
+        tied = TIED_AXES[kind]
+        return tuple(n for axis, n in enumerate((n_components, dim)) if axis not in tied)
+
     def expand(self, n_components: int, dim: int) -> np.ndarray:
-        """Variances as a (K, d) matrix regardless of kind."""
-        if self.kind == "shared":
-            return np.full((n_components, dim), float(self.values))
-        if self.kind == "spherical":
-            if self.values.shape != (n_components,):
-                raise ValueError("spherical variances do not match K")
-            return np.repeat(self.values[:, None], dim, axis=1)
-        if self.values.shape != (n_components, dim):
-            raise ValueError("diagonal variances do not match (K, d)")
-        return self.values
+        """Variances as a read-only (K, d) view regardless of kind."""
+        shape = self.value_shape(self.kind, n_components, dim)
+        if self.values.shape != shape:
+            raise ValueError(
+                f"{self.kind} variances of shape {self.values.shape} do not match "
+                f"K={n_components}, d={dim}; expected shape {shape}"
+            )
+        tied = TIED_AXES[self.kind]
+        return np.broadcast_to(np.expand_dims(self.values, tied), (n_components, dim))
+
+    def pool(self, per_entry: np.ndarray) -> np.ndarray:
+        """Sum a (K, d) array over the tied axes, to the shape of values.
+
+        The adjoint of `expand`: sum(expand(v) * a) == sum(v * pool(a)).
+        """
+        return np.sum(per_entry, axis=TIED_AXES[self.kind])
 
     def n_free_parameters(self, n_components: int, dim: int) -> int:
         """Free variance parameters counted by BIC (0 when fixed)."""
         if self.fixed:
             return 0
-        return {"shared": 1, "spherical": n_components, "diagonal": n_components * dim}[
-            self.kind
-        ]
+        return self.pool(np.ones((n_components, dim))).size
 
     def permuted(self, perm: np.ndarray) -> "VarianceSpec":
-        if self.kind == "shared":
+        if 0 in TIED_AXES[self.kind]:
             return self
         return replace(self, values=self.values[np.asarray(perm)])
 

@@ -168,15 +168,10 @@ def transport_responsibilities(
     )
 
 
-def sinkhorn_estep(
-    params: MixtureParams,
-    data: Dataset,
-    cfg: SinkhornConfig,
-    initial_potentials: np.ndarray | None = None,
-) -> SinkhornSolution:
+def sinkhorn_estep(params: MixtureParams, data: Dataset, cfg: SinkhornConfig) -> SinkhornSolution:
     """Entropic-OT E-step between the mixture atoms and the empirical measure."""
     log_kernel = component_log_densities(params, data.points)
-    return transport_responsibilities(log_kernel, params.weights, cfg, initial_potentials)
+    return transport_responsibilities(log_kernel, params.weights, cfg)
 
 
 def loss_entropic(
@@ -257,13 +252,7 @@ def grad_loss_entropic(
         # d(-log q)/d v per entry: 1/(2v) - (y - theta)^2 / (2 v^2)
         per_entry = (1.0 / (2.0 * var[None, :, :]) - diff**2 / (2.0 * var[None, :, :] ** 2))
         g_diag = np.einsum("ik,ikj->kj", psi, per_entry) / n  # (K, d)
-        kind = params.variances.kind
-        if kind == "diagonal":
-            grad_var = g_diag
-        elif kind == "spherical":
-            grad_var = g_diag.sum(axis=1)
-        else:  # shared
-            grad_var = np.asarray(g_diag.sum())
+        grad_var = params.variances.pool(g_diag)
     return EntropicGradient(locations=grad_loc, variances=grad_var)
 
 

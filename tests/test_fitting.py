@@ -13,7 +13,6 @@ from otmix import (
     SinkhornConfig,
     SinkhornNonConvergence,
     VarianceSpec,
-    coordinate_descent_fit,
     em_fit,
     grad_loss_entropic,
     mstep_gaussian,
@@ -21,7 +20,7 @@ from otmix import (
     sample_mixture,
     sem_fit,
     sinkhorn_estep,
-    update_weights_eg,
+    tilt_weights,
 )
 from otmix.mixtures import component_log_densities, responsibility_matrix
 from conftest import random_instance
@@ -267,18 +266,20 @@ class TestSemFit:
 
 
 class TestUpdateWeightsEg:
+    """The exponentiated-gradient weight step: alpha tilted by -eta * gradient."""
+
     def test_constant_gradient_is_identity(self):
         alpha = np.array([0.2, 0.3, 0.5])
-        assert np.allclose(update_weights_eg(alpha, np.full(3, 4.2), 0.3), alpha, atol=1e-15)
+        assert np.allclose(tilt_weights(alpha, -0.3 * np.full(3, 4.2)), alpha, atol=1e-15)
 
     def test_zero_step_is_identity(self):
         alpha = np.array([0.2, 0.8])
-        assert np.allclose(update_weights_eg(alpha, np.array([5.0, -2.0]), 0.0), alpha, atol=1e-15)
+        assert np.allclose(tilt_weights(alpha, -0.0 * np.array([5.0, -2.0])), alpha, atol=1e-15)
 
     def test_direct_evaluation(self):
         alpha = np.array([0.5, 0.5])
         grad = np.array([math.log(4.0), 0.0])
-        out = update_weights_eg(alpha, grad, 1.0)
+        out = tilt_weights(alpha, -1.0 * grad)
         assert np.allclose(out, [0.2, 0.8], atol=1e-14)
 
     def test_result_on_open_simplex(self, rng):
@@ -287,30 +288,28 @@ class TestUpdateWeightsEg:
             alpha = rng.dirichlet(np.ones(k))
             alpha = np.maximum(alpha, 1e-9)
             alpha /= alpha.sum()
-            out = update_weights_eg(alpha, rng.normal(size=k), float(rng.uniform(0, 2)))
+            grad, eta = rng.normal(size=k), float(rng.uniform(0, 2))
+            out = tilt_weights(alpha, -eta * grad)
             assert np.all(out > 0)
             assert out.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestCoordinateDescent:
-    def test_requires_weight_updates(self, rng):
-        params, data = random_instance(rng, k=2)
-        with pytest.raises(ValueError):
-            coordinate_descent_fit(data, params, FitConfig(update_weights=False))
+    """sem_fit with update_weights infers the weights by block-coordinate descent."""
 
     def test_near_stationary_weights_stay_close_to_uniform(self):
         truth = grid_params([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]], var=0.25)
         n = 2500
         data = sample_mixture(truth, n, 21)
         cfg = FitConfig(update_weights=True)
-        report = coordinate_descent_fit(data, truth, cfg)
+        report = sem_fit(data, truth, cfg)
         assert np.max(np.abs(report.final_params.weights - 1.0 / 3.0)) < 2.0 / math.sqrt(n)
 
     def test_loss_not_increased_by_alpha_phases(self, rng):
         params, data = random_instance(rng, k=3, d=2, n=200)
         init = params.with_weights(np.full(3, 1.0 / 3.0))
         cfg = FitConfig(update_weights=True, sinkhorn=SinkhornConfig(tolerance=1e-6, max_iterations=20000))
-        report = coordinate_descent_fit(data, init, cfg)
+        report = sem_fit(data, init, cfg)
         ls = [l for _, l in report.loss_trace if l is not None]
         assert ls[-1] <= ls[0] + 10 * cfg.sinkhorn.tolerance
         final = report.final_params
@@ -335,7 +334,7 @@ class TestCoordinateDescent:
             cfg_fixed = FitConfig()
             fixed = sem_fit(data, init.with_weights(truth.weights), cfg_fixed)
             cfg_cd = FitConfig(update_weights=True)
-            inferred = coordinate_descent_fit(data, init, cfg_cd)
+            inferred = sem_fit(data, init, cfg_cd)
             e_fixed = center_error(fixed.final_params, truth)
             e_cd = center_error(inferred.final_params, truth)
             ratios.append(e_cd / max(e_fixed, 1e-12))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from otmix import cli
+from otmix.fitting import FitConfig
 from otmix.harness import (
     ExperimentSpec,
     RESULT_COLUMNS,
@@ -108,6 +109,12 @@ class TestConfig:
         cfg.write_text("just a line\n")
         with pytest.raises(ValueError):
             load_config(cfg)
+
+    def test_protocol_defaults_come_from_fit_config(self):
+        spec = ExperimentSpec(ks=(3,), ds=(2,), sigma2s=(0.1,), ns=(100,))
+        assert spec.fit_config(False, False) == FitConfig()
+        args = cli.build_parser().parse_args(["fit", "--data", "d.csv", "--method", "em", "--k", "2"])
+        assert cli._fit_config(args) == FitConfig()
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -242,6 +249,22 @@ class TestCli:
         assert "final_ell" in report
         fitted = MixtureParams.load_json(fit_params)
         assert fitted.n_components == 3
+
+    def test_fit_sem_update_weights_infers_the_weights(self, tmp_path):
+        # classes of 30 and 90 points: the inferred weights leave the uniform
+        # start for the class shares
+        rng = np.random.default_rng(5)
+        points = np.vstack([rng.normal(-1.0, 0.5, size=(30, 2)), rng.normal(1.0, 0.5, size=(90, 2))])
+        data_csv = tmp_path / "data.csv"
+        Dataset(points).save_csv(data_csv)
+        fit_params = tmp_path / "fit.json"
+        rc = cli.main([
+            "fit", "--data", str(data_csv), "--method", "sem", "--k", "2", "--sigma2", "0.25",
+            "--update-weights", "--out-params", str(fit_params), "--out-report", str(tmp_path / "r.json"),
+        ])
+        assert rc == 0
+        weights = np.sort(MixtureParams.load_json(fit_params).weights)
+        assert np.allclose(weights, [0.25, 0.75], atol=0.05)
 
     def test_experiment_subcommand(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"

@@ -4,7 +4,8 @@ loss agrees with its semi-dual form at any potentials and dominates the
 negative log-likelihood at solved ones; the solver's plan stays row-stochastic
 on extreme kernels; a Sinkhorn-EM fit descends its semi-dual loss within
 solver slack, and every Sinkhorn-EM M-step keeps the weighted centres on the
-data mean (the balance identity).
+data mean (the balance identity).  A variance spec's `expand` and `pool` are
+adjoint for every kind.
 
 Both symmetries hold exactly in exact arithmetic; in floating point the
 fits agree up to rounding and Sinkhorn slack, hence a tight solver tolerance
@@ -196,3 +197,22 @@ def test_every_sem_mstep_balances_the_weighted_centres(problem):
         params = mstep_gaussian(dataset, solution.responsibilities, params.variances, params.weights)
         gap = params.weights @ params.locations - dataset.points.mean(axis=0)
         assert np.max(np.abs(gap)) <= bound
+
+
+@PROPERTY_SETTINGS
+@given(
+    kind=st.sampled_from(["shared", "spherical", "diagonal"]),
+    k=st.integers(1, 6),
+    d=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_expand_and_pool_are_adjoint(kind, k, d, seed):
+    rng = np.random.default_rng(seed)
+    spec = VarianceSpec(kind, rng.uniform(0.1, 2.0, size=VarianceSpec.value_shape(kind, k, d)))
+    a = rng.normal(size=(k, d))
+    pooled = spec.pool(a)
+    assert np.shape(pooled) == spec.values.shape
+    assert abs(np.sum(spec.expand(k, d) * a) - np.sum(spec.values * pooled)) <= 1e-12
+    estimated = replace(spec, fixed=False)
+    assert estimated.n_free_parameters(k, d) == spec.pool(np.ones((k, d))).size
+    assert spec.n_free_parameters(k, d) == 0
