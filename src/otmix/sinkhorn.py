@@ -266,7 +266,8 @@ def grad_loss_weights(
 
     The potentials are re-gauged to alpha-weighted mean zero first, so the
     returned direction does not depend on which coordinate the solver pinned.
-    The exponentiated-gradient update itself is invariant to this choice.
+    A step that tilts the weights by a multiple of it is invariant to this
+    choice.
     """
     if solution is None:
         solution = sinkhorn_estep(params, data, cfg)

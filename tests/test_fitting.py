@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from otmix import (
     sinkhorn_estep,
     tilt_weights,
 )
+from otmix import fitting
 from otmix.mixtures import component_log_densities, responsibility_matrix
 from conftest import random_instance
 
@@ -172,6 +174,23 @@ class TestOuterLoopContract:
             if not report.converged:
                 assert report.iterations == cap
 
+    @pytest.mark.parametrize("fit, update_weights", [
+        (em_fit, False), (em_fit, True), (sem_fit, False), (sem_fit, True),
+    ])
+    def test_iterations_count_location_msteps(self, fit, update_weights, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return mstep_gaussian(*args, **kwargs)
+
+        monkeypatch.setattr(fitting, "mstep_gaussian", counted)
+        truth = grid_params([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]], var=0.5, weights=[0.2, 0.3, 0.5])
+        data = sample_mixture(truth, 300, 8)
+        init = truth.with_weights(np.full(3, 1.0 / 3.0))
+        report = fit(data, init, FitConfig(update_weights=update_weights))
+        assert report.iterations == len(calls) > 0
+
     def test_sinkhorn_misses_are_reported_once_per_solve(self):
         truth = grid_params([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]], var=0.5)
         data = sample_mixture(truth, 200, 5)
@@ -266,7 +285,7 @@ class TestSemFit:
 
 
 class TestUpdateWeightsEg:
-    """The exponentiated-gradient weight step: alpha tilted by -eta * gradient."""
+    """Weights tilted by a multiple of a gradient, as `tilt_weights` computes it."""
 
     def test_constant_gradient_is_identity(self):
         alpha = np.array([0.2, 0.3, 0.5])
@@ -315,6 +334,32 @@ class TestCoordinateDescent:
         final = report.final_params
         assert np.all(final.weights > 0)
         assert final.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_weights_reach_the_minimiser_where_losses_agree(self):
+        # skewed weights from a uniform start: min over alpha of L equals min
+        # over alpha of ell, so the fit ends where the two losses agree
+        rng = np.random.default_rng(2)
+        k, d = 5, 2
+        weights = rng.dirichlet(np.ones(k))
+        truth = MixtureParams(rng.uniform(-1, 1, size=(k, d)), VarianceSpec.shared(0.01), weights)
+        data = sample_mixture(truth, 1000, rng)
+        cfg = FitConfig(update_weights=True)
+        start = time.perf_counter()
+        report = sem_fit(data, truth.with_weights(np.full(k, 1.0 / k)), cfg)
+        elapsed = time.perf_counter() - start
+        ell, ot_loss = report.loss_trace[-1]
+        assert ot_loss - ell <= 10 * cfg.sinkhorn.tolerance
+        assert elapsed < 2.0
+
+    def test_collapsed_weight_raises_empty_component(self):
+        # the middle component sits between two tight clusters, where its
+        # density underflows to 0: the weight phase empties it, and callers
+        # such as the harness catch EmptyComponentError, not ValueError
+        t = np.linspace(-0.1, 0.1, 50)
+        data = Dataset(np.concatenate([-10.0 + t, 10.0 + t])[:, None])
+        init = scalar_params([-10.0, 0.0, 10.0], var=0.01)
+        with pytest.raises(EmptyComponentError):
+            sem_fit(data, init, FitConfig(update_weights=True))
 
     def test_dirichlet_regime_matches_fixed_true_weights(self):
         # near-uniform true weights: inferring weights should not cost much

@@ -10,10 +10,11 @@ only where the outputs agree to the bit.  It covers:
 
 - `em_fit` and `sem_fit` on random instances over the three variance kinds,
   with estimated and known variances; EM with and without weight updates,
-  Sinkhorn-EM at the default solver config and at a forced-miss one
-  (tolerance 1e-8, 3 iterations); each fit gives four lines: parameters,
-  loss trace, responsibilities, and flags (iterations, convergence and the
-  warnings raised);
+  Sinkhorn-EM with weight updates, and Sinkhorn-EM at fixed weights at the
+  default solver config and at a forced-miss one (tolerance 1e-8, 3
+  iterations); each fit gives four lines: parameters, loss trace,
+  responsibilities, and flags (iterations, convergence and the warnings
+  raised);
 - `vem_fit` and `svem_fit` with and without known-parameter overrides;
 - the result files of criterion C14 (`run_experiment` and
   `run_selection_sweep` at its spec);
@@ -108,6 +109,8 @@ def mixture_entries():
                 runs = [(f"em/w-{w}", em_fit, FitConfig(update_variances=estimated,
                                                         update_weights=w))
                         for w in (False, True)]
+                runs.append(("sem/w-True", sem_fit, FitConfig(update_variances=estimated,
+                                                              update_weights=True)))
                 runs += [(f"sem/{name}", sem_fit, FitConfig(sinkhorn=solver,
                                                             update_variances=estimated))
                          for name, solver in SOLVERS.items()]
