@@ -1,8 +1,9 @@
 """Command-line interface: simulate, fit, experiment, spurious, select-k,
 twogauss, cocluster.
 
-Outputs are CSV tables and JSON parameter/report files; exit code is 0
-unless the configuration or I/O is invalid (then 2).
+Outputs are CSV tables and JSON parameter/report files.  Exit code 2 means
+invalid configuration, input or I/O, and 1 a degenerate fit (an empty
+component or block); both print one `error: ...` line and no traceback.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .coclustering import random_block_init, svem_fit, vem_fit
-from .fitting import FitConfig, em_fit, sem_fit
+from .coclustering import EmptyBlockError, random_block_init, svem_fit, vem_fit
+from .fitting import EmptyComponentError, FitConfig, em_fit, sem_fit
 from .harness import (
     _sample_truth,
     _task_rng,
@@ -287,6 +288,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (EmptyComponentError, EmptyBlockError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

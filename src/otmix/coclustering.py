@@ -3,8 +3,10 @@
 Each matrix entry Y_ij is Gaussian around the mean of its (row class, column
 class) block.  The variational fit alternates a row phase and a column phase;
 inside each phase, soft assignments and block parameters are updated until
-the phase stabilizes.  The aggregate statistics Y^w, u^w (and transposed
-Y^z, v^z) reduce every phase to a weighted K-component problem.
+the phase stabilizes.  The aggregate statistics Y^w, u^w reduce a phase to a
+weighted K-component problem.  The column phase is the row phase on Y.T, so
+`_phase` names blocks (row class, column class) of the matrix it is given;
+`_vem_generic` turns the column phase's blocks back into that order.
 
 Sinkhorn-VEM replaces the soft-assignment updates with entropic-OT plans
 whose column means equal the row (resp. column) class weights; when the
@@ -212,37 +214,29 @@ def _surrogate_value(cost, log_weights, resp):
     return fit_term - prior_term + entropy
 
 
-def _phase(
-    y_stat,
-    sq_stat,
-    opposite_mass,
-    means,
-    variances,
-    weights,
-    cfg: FitConfig,
-    use_transport: bool,
-    transpose: bool,
-    omega=None,
-):
-    """One row or column phase: alternate assignments and parameter updates.
+def _phase(y, opposite, means, variances, weights, cfg: FitConfig, use_transport: bool, omega):
+    """Re-fit the classes of the rows of `y` against the fixed soft classes
+    `opposite` of its columns: alternate assignments and parameter updates.
 
-    For the column phase (transpose=True) the statistics come in as (M, K)
-    against means.T/vars.T, so everything below reads rows-vs-classes.
-    `omega` warm-starts the transport solves (and the final value is handed
-    back for the next round).  Returns (resp, means, variances, weights,
+    The row phase is this call on Y with the column classes; the column phase
+    is the same call on Y.T with the row classes and the block parameters
+    transposed.  Parameters, results and any `EmptyBlockError` name blocks as
+    (class of a row of `y`, class of a column of `y`).  `omega` warm-starts
+    the transport solves (and the final value is handed back for the next
+    round).  Returns (resp, means, variances, weights,
     surrogate_trace, max_marginal_error, omega); the surrogate trace is empty
     for Sinkhorn-VEM.
     """
-    mu = means.T.copy() if transpose else means.copy()  # (C, G')
-    var = variances.T.copy() if transpose else variances.copy()
-    wts = weights.copy()
+    opposite_mass = opposite.sum(axis=0)
+    _check_block_masses(np.ones(1), opposite_mass)
+    y_stat, sq_stat = aggregate_stats(y, opposite)
+    mu, var, wts = means, variances, weights
     surrogate = []
     max_err = 0.0
-    resp = None
     prev_change = np.inf
     plateau = 0
+    cost = _assignment_cost(y_stat, sq_stat, opposite_mass, mu, var)
     for inner in range(1, MAX_INNER_ITERATIONS + 1):
-        cost = _assignment_cost(y_stat, sq_stat, opposite_mass, mu, var)
         plain_round = (not use_transport) or (
             cfg.update_weights and inner % WEIGHT_UPDATE_CADENCE == 0
         )
@@ -269,8 +263,10 @@ def _phase(
             new_wts = mass / resp.shape[0]
             change += float(np.abs(new_wts - wts).sum())
             wts = new_wts
+        # the cost of the updated parameters closes VEM's surrogate step and
+        # drives the next assignment update
+        cost = _assignment_cost(y_stat, sq_stat, opposite_mass, mu, var)
         if not use_transport:
-            cost = _assignment_cost(y_stat, sq_stat, opposite_mass, mu, var)
             surrogate.append(_surrogate_value(cost, np.log(wts), resp))
         if change < INNER_TOLERANCE:
             break
@@ -281,8 +277,6 @@ def _phase(
         prev_change = change
         if plateau >= 3 and inner >= 5:
             break
-    if transpose:
-        return resp, mu.T, var.T, wts, surrogate, max_err, omega
     return resp, mu, var, wts, surrogate, max_err, omega
 
 
@@ -322,8 +316,7 @@ def _vem_generic(
     n, m = y.shape
     if k > n or g > m:
         raise ValueError("K and G cannot exceed the matrix dimensions")
-    z = init.z.copy()
-    w = init.w.copy()
+    z, w = init.z, init.w
     if z.shape != (n, k) or w.shape != (m, g):
         raise ValueError("init responsibilities do not match the data and K, G")
 
@@ -341,35 +334,28 @@ def _vem_generic(
     max_err = 0.0
     surrogates = []
     outer = 0
-    row_omega = None
-    col_omega = None
+    row_omega = col_omega = None
     for outer in range(1, cfg.max_outer_iterations + 1):
-        prev = (means.copy(), var.copy(), pi.copy(), rho.copy())
-
-        col_mass = w.sum(axis=0)
-        _check_block_masses(np.ones(1), col_mass)
-        yw, uw = aggregate_stats(y, w)
+        prev = (means, var, pi, rho)
         z, means, var, pi, s_row, err_row, row_omega = _phase(
-            yw, uw, col_mass, means, var, pi, cfg, use_transport, False, row_omega
+            y, w, means, var, pi, cfg, use_transport, row_omega
         )
-
-        row_mass = z.sum(axis=0)
-        _check_block_masses(row_mass, np.ones(1))
-        yz, vz = aggregate_stats(y.T, z)
-        w, means, var, rho, s_col, err_col, col_omega = _phase(
-            yz, vz, row_mass, means, var, rho, cfg, use_transport, True, col_omega
-        )
+        try:
+            w, means_t, var_t, rho, s_col, err_col, col_omega = _phase(
+                y.T, z, means.T, var.T, rho, cfg, use_transport, col_omega
+            )
+        except EmptyBlockError as exc:
+            # the column phase names its blocks (column class, row class)
+            raise EmptyBlockError(exc.g, exc.k, exc.mass) from None
+        means, var = means_t.T, var_t.T
 
         max_err = max(max_err, err_row, err_col)
         if not use_transport:
             surrogates.append(s_row)
             surrogates.append(s_col)
 
-        change = (
-            float(np.abs(means - prev[0]).sum())
-            + float(np.abs(var - prev[1]).sum())
-            + float(np.abs(pi - prev[2]).sum())
-            + float(np.abs(rho - prev[3]).sum())
+        change = sum(
+            float(np.abs(new - old).sum()) for new, old in zip((means, var, pi, rho), prev)
         )
         if change < cfg.param_change_tolerance:
             converged = True
@@ -432,8 +418,8 @@ def block_score(fitted: BlockModel, truth: BlockModel) -> float:
     """Mean squared block-mean error under the best row x column permutation.
 
     Exact by row-permutation enumeration (with an assignment solve over the
-    columns for each) when K <= 8; larger K falls back to alternating
-    row/column assignment refinement.
+    columns for each) when K <= 8; larger K refines alternating row/column
+    assignments from a row matching on sorted block means.
     """
     if (
         fitted.n_row_classes != truth.n_row_classes
@@ -456,7 +442,9 @@ def block_score(fitted: BlockModel, truth: BlockModel) -> float:
         best = min(col_aligned_cost(p) for p in itertools.permutations(range(k)))
         return best / (k * g)
 
-    row_perm = np.arange(k)
+    # sorted means do not depend on the column order
+    gap = np.sort(tru_m, axis=1)[:, None, :] - np.sort(fit_m, axis=1)[None, :, :]
+    _, row_perm = linear_sum_assignment((gap**2).sum(axis=2))
     for _ in range(10):
         aligned_cost = np.zeros((k, k))
         # fix columns by the current row alignment, then re-match rows

@@ -379,6 +379,8 @@ def run_spurious_demo(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if n < 3:
+        raise ValueError(f"n must be >= 3, one point per component, got {n}")
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     truth = spurious_truth(D, R, sigma)

@@ -94,6 +94,18 @@ class TestInitialization:
         with pytest.raises(EmptyBlockError):
             _check_block_masses(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("fit", [vem_fit, svem_fit])
+    def test_emptied_column_class_is_named_as_its_block(self, fit):
+        # identical columns give both column classes the same cost, so the
+        # column phase hands class 1 its weight, 1e-14, of every column
+        y = np.repeat(np.array([0.0, 0.0, 5.0, 5.0, 10.0, 10.0])[:, None], 4, axis=1)
+        init = BlockResponsibilities(
+            one_hot(np.array([0, 0, 1, 1, 2, 2]), 3), one_hot(np.array([0, 0, 1, 1]), 2)
+        )
+        with pytest.raises(EmptyBlockError) as info:
+            fit(y, 3, 2, init, FitConfig(), variances=1.0, col_weights=[1 - 1e-14, 1e-14])
+        assert info.value.g == 1 and info.value.k < 3
+
 
 class TestNonFiniteInput:
     def test_block_responsibilities_reject_nan(self):
@@ -246,6 +258,21 @@ class TestBlockScore:
             model.col_weights[cp],
         )
         assert block_score(permuted, model) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("k", [9, 10, 11, 12])
+    def test_permuted_copy_scores_zero_beyond_exact_search(self, k):
+        # K > 8 takes the alternating refinement instead of full enumeration
+        rng = np.random.default_rng(k)
+        for g in range(2, 8):
+            model = make_model(rng, k=k, g=g)
+            rp, cp = rng.permutation(k), rng.permutation(g)
+            permuted = BlockModel(
+                model.means[np.ix_(rp, cp)],
+                model.variances[np.ix_(rp, cp)],
+                model.row_weights[rp],
+                model.col_weights[cp],
+            )
+            assert block_score(permuted, model) <= 1e-12
 
     def test_k1_g1_squared_difference(self):
         a = BlockModel(np.array([[2.0]]), np.array([[1.0]]), np.array([1.0]), np.array([1.0]))

@@ -64,6 +64,7 @@ BAD_INPUTS = {
         "unknown config key 'weight_update_cadence'",
     ),
     "trials": ({}, "spurious --n 50 --trials 0", "trials must be >= 1"),
+    "spurious-n": ({}, "spurious --n 2 --trials 3 --seed 1", "n must be >= 3"),
     "k-zero": (
         {"m.csv": "1,2\n3,4\n5,6\n"},
         "cocluster --data {tmp}/m.csv --k 0 --g 2 --method vem --out-model {tmp}/m.json",
@@ -331,6 +332,12 @@ class TestCli:
         assert rc == 0
         summary = json.loads(capsys.readouterr().out)
         assert "sem" in summary
+
+    def test_degenerate_fit_exits_1_without_traceback(self, capsys):
+        # three points for three components: a component empties in some trial
+        assert cli.main(["spurious", "--n", "3", "--trials", "3", "--seed", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: component ") and err.count("\n") == 1
 
     def test_select_k_subcommand_smoke(self, tmp_path, capsys):
         rc = cli.main([

@@ -5,7 +5,8 @@ negative log-likelihood at solved ones; the solver's plan stays row-stochastic
 on extreme kernels; a Sinkhorn-EM fit descends its semi-dual loss within
 solver slack, and every Sinkhorn-EM M-step keeps the weighted centres on the
 data mean (the balance identity).  A variance spec's `expand` and `pool` are
-adjoint for every kind.
+adjoint for every kind.  Co-clustering fits are equivariant under permuting
+the matrix's rows and columns.
 
 Both symmetries hold exactly in exact arithmetic; in floating point the
 fits agree up to rounding and Sinkhorn slack, hence a tight solver tolerance
@@ -20,7 +21,10 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from otmix import (
+    BlockModel,
+    BlockResponsibilities,
     Dataset,
+    EmptyBlockError,
     FitConfig,
     MixtureParams,
     SinkhornConfig,
@@ -31,10 +35,14 @@ from otmix import (
     loss_entropic_semidual,
     mstep_gaussian,
     neg_loglik,
+    random_block_init,
+    sample_block_data,
     sample_mixture,
     sem_fit,
     sinkhorn_estep,
+    svem_fit,
     transport_responsibilities,
+    vem_fit,
 )
 
 OUTER_STEPS = 8
@@ -216,3 +224,76 @@ def test_expand_and_pool_are_adjoint(kind, k, d, seed):
     estimated = replace(spec, fixed=False)
     assert estimated.n_free_parameters(k, d) == spec.pool(np.ones((k, d))).size
     assert spec.n_free_parameters(k, d) == 0
+
+
+@st.composite
+def block_problems(draw):
+    """A latent block model, a matrix drawn from it and a random hard start."""
+    k = draw(st.integers(2, 3))
+    g = draw(st.integers(2, 3))
+    n = draw(st.integers(20, 50))
+    m = draw(st.integers(15, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    truth = BlockModel(
+        rng.uniform(-3.0, 3.0, size=(k, g)),
+        rng.uniform(0.5, 1.5, size=(k, g)),
+        rng.dirichlet(np.full(k, 10.0)),
+        rng.dirichlet(np.full(g, 10.0)),
+    )
+    y, _, _ = sample_block_data(truth, n, m, rng)
+    return y, random_block_init(n, m, k, g, rng), truth
+
+
+def _block_fit_or_empty_block(fit, y, init, cfg, overrides):
+    """The fit, or the (k, g) block an `EmptyBlockError` names."""
+    k, g = init.z.shape[1], init.w.shape[1]
+    try:
+        return fit(y, k, g, init, cfg, **overrides)
+    except EmptyBlockError as exc:
+        return exc.k, exc.g
+
+
+@PROPERTY_SETTINGS
+@given(
+    problem=block_problems(),
+    fit=st.sampled_from([vem_fit, svem_fit]),
+    known_variances=st.booleans(),
+    known_weights=st.booleans(),
+    data=st.data(),
+)
+def test_permuting_rows_and_columns_permutes_the_block_fit(
+    problem, fit, known_variances, known_weights, data
+):
+    y, init, truth = problem
+    rows = np.array(data.draw(st.permutations(range(y.shape[0]))))
+    cols = np.array(data.draw(st.permutations(range(y.shape[1]))))
+    # inferred weights slow the transport solves near hard assignments; the
+    # default iteration cap keeps the fit cheap and still deterministic
+    cfg = FitConfig(
+        sinkhorn=SinkhornConfig(tolerance=1e-10),
+        update_variances=not known_variances,
+        update_weights=not known_weights,
+    )
+    overrides = {}
+    if known_variances:
+        overrides["variances"] = truth.variances
+    if known_weights:
+        overrides.update(row_weights=truth.row_weights, col_weights=truth.col_weights)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SinkhornNonConvergence)
+        base = _block_fit_or_empty_block(fit, y, init, cfg, overrides)
+        permuted = _block_fit_or_empty_block(
+            fit, y[np.ix_(rows, cols)], BlockResponsibilities(init.z[rows], init.w[cols]),
+            cfg, overrides,
+        )
+    if not isinstance(base[0], BlockModel):
+        assert permuted == base
+        return
+    (model, resp, report), (p_model, p_resp, p_report) = base, permuted
+    for name in ("means", "variances", "row_weights", "col_weights"):
+        np.testing.assert_allclose(
+            getattr(p_model, name), getattr(model, name), rtol=0, atol=ATOL
+        )
+    np.testing.assert_allclose(p_resp.z, resp.z[rows], rtol=0, atol=ATOL)
+    np.testing.assert_allclose(p_resp.w, resp.w[cols], rtol=0, atol=ATOL)
+    assert p_report.iterations == report.iterations
