@@ -168,29 +168,15 @@ def _cmd_cocluster(args) -> int:
     init = random_block_init(y.shape[0], y.shape[1], args.k, args.g, args.seed)
     cfg = _fit_config(args)
     fit = vem_fit if args.method == "vem" else svem_fit
-    variances = args.sigma2 if args.sigma2 is not None else None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SinkhornNonConvergence)
-        model, resp, report = fit(y, args.k, args.g, init, cfg, variances=variances)
+        model, resp, report = fit(y, args.k, args.g, init, cfg, variances=args.sigma2)
     Path(args.out_model).write_text(json.dumps(model.to_json_dict(), indent=2) + "\n")
-    row_labels, col_labels = resp.hard_labels()
-    if args.out_row_labels:
-        write_rows_csv(
-            args.out_row_labels,
-            [{"index": i, "label": int(l)} for i, l in enumerate(row_labels)],
-            ["index", "label"],
-        )
-    if args.out_col_labels:
-        write_rows_csv(
-            args.out_col_labels,
-            [{"index": j, "label": int(l)} for j, l in enumerate(col_labels)],
-            ["index", "label"],
-        )
-    print(
-        json.dumps(
-            {"converged": report.converged, "iterations": report.iterations}, indent=2
-        )
-    )
+    for path, labels in zip((args.out_row_labels, args.out_col_labels), resp.hard_labels()):
+        if path:
+            rows = [{"index": i, "label": int(label)} for i, label in enumerate(labels)]
+            write_rows_csv(path, rows, ["index", "label"])
+    print(json.dumps({"converged": report.converged, "iterations": report.iterations}, indent=2))
     return 0
 
 

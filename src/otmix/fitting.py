@@ -8,6 +8,11 @@ tolerance, or an iteration cap.  Only the E-step differs: plain Bayes
 responsibilities for EM, the entropic-OT plan (warm-started from the previous
 potentials) for Sinkhorn-EM.
 
+Each E-step takes one row softmax of the kernel, and the loss pair comes from
+that pass: EM's ell is the mean row log-sum-exp of its softmax, and Sinkhorn-EM
+reads ell and L off the solve's plan, potentials and log partition
+(`_transport_losses`).
+
 Each fit's two model choices have one home.  The variance regime (kind, and
 whether it is estimated) is the initial parameters' `VarianceSpec`, which the
 M-step pools through; `FitConfig.update_variances` sets its fixed flag.
@@ -32,11 +37,12 @@ from .mixtures import (
     Responsibilities,
     VARIANCE_FLOOR,
     VarianceSpec,
+    _posterior,
+    _weighted_sq_deviation,
     component_log_densities,
-    neg_loglik_from_log_densities,
     responsibility_matrix,
 )
-from .sinkhorn import SinkhornConfig, semidual_value, transport_responsibilities
+from .sinkhorn import SinkhornConfig, SinkhornSolution, transport_responsibilities
 
 EMPTY_COMPONENT_THRESHOLD = 1e-12
 
@@ -110,10 +116,6 @@ class FitReport:
         return d
 
 
-def _floored(values: np.ndarray) -> np.ndarray:
-    return np.maximum(values, VARIANCE_FLOOR)
-
-
 def mstep_gaussian(
     data: Dataset,
     resp: Responsibilities,
@@ -140,10 +142,9 @@ def mstep_gaussian(
     if spec.fixed:
         new_spec = spec
     else:
-        diff = y[:, None, :] - locations[None, :, :]  # (N, K, d)
-        wsq = np.einsum("ik,ikj->kj", psi, diff**2)  # (K, d)
-        mass_kd = np.broadcast_to(col_mass[:, None], wsq.shape)
-        new_spec = replace(spec, values=_floored(spec.pool(wsq) / spec.pool(mass_kd)))
+        wsq = _weighted_sq_deviation(psi, y, locations, col_mass)  # (K, d)
+        values = spec.pool(wsq) / spec.pool(np.broadcast_to(col_mass[:, None], wsq.shape))
+        new_spec = replace(spec, values=np.maximum(values, VARIANCE_FLOOR))
 
     return MixtureParams(locations, new_spec, np.asarray(weights, dtype=float))
 
@@ -163,6 +164,15 @@ def _effective_init(init: MixtureParams, cfg: FitConfig) -> MixtureParams:
     return init.with_variances(replace(init.variances, fixed=not cfg.update_variances))
 
 
+def _transport_losses(solution: SinkhornSolution, weights: np.ndarray) -> tuple[float, float]:
+    """(ell, L) at a solve's potentials omega from its plan Psi and log partition lse:
+    L = alpha . omega - mean(lse), and as Psi_ik e^{-omega_k} = alpha_k q_k(Y_i) / e^{lse_i},
+    ell = -mean(lse + log(Psi e^{-omega})), one matvec (shifted by min omega)."""
+    omega, lse, low = solution.potentials, solution.log_partition, solution.potentials.min()
+    ell = -np.mean(lse + np.log(solution.responsibilities.matrix @ np.exp(low - omega)) - low)
+    return float(ell), float(np.dot(weights, omega) - np.mean(lse))
+
+
 def _fit(data: Dataset, init: MixtureParams, cfg: FitConfig, seed, transport: bool) -> FitReport:
     """The outer loop of EM (transport=False) and Sinkhorn-EM; see the module docstring."""
     t0 = time.perf_counter()
@@ -173,16 +183,16 @@ def _fit(data: Dataset, init: MixtureParams, cfg: FitConfig, seed, transport: bo
     change = np.inf
     for iterations in range(cfg.max_outer_iterations + 1):
         log_kernel = component_log_densities(params, data.points)
-        ell = neg_loglik_from_log_densities(log_kernel, params.weights)
         if transport:
             solution = transport_responsibilities(log_kernel, params.weights, cfg.sinkhorn, omega)
             all_solves_converged &= solution.converged
             omega = solution.potentials
             resp = solution.responsibilities
-            trace.append((ell, semidual_value(log_kernel, params.weights, omega)))
+            trace.append(_transport_losses(solution, params.weights))
         else:
-            resp = Responsibilities(responsibility_matrix(log_kernel, params.weights))
-            trace.append((ell, None))
+            matrix, lse = _posterior(log_kernel, params.weights)
+            resp = Responsibilities(matrix)
+            trace.append((float(-np.mean(lse)), None))
         converged = change < cfg.param_change_tolerance
         if converged or iterations == cfg.max_outer_iterations:
             break
@@ -280,12 +290,7 @@ def _coordinate_descent(data: Dataset, init: MixtureParams, cfg: FitConfig, seed
 
     # the last weight phase left theta as it is, so its kernel is current
     final_solution = transport_responsibilities(log_kernel, params.weights, cfg.sinkhorn)
-    trace.append(
-        (
-            neg_loglik_from_log_densities(log_kernel, params.weights),
-            semidual_value(log_kernel, params.weights, final_solution.potentials),
-        )
-    )
+    trace.append(_transport_losses(final_solution, params.weights))
     return FitReport(
         final_params=params,
         loss_trace=trace,

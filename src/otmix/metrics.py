@@ -23,6 +23,7 @@ from .mixtures import (
     VarianceSpec,
     neg_loglik,
     _make_rng,
+    _sq_distances,
 )
 
 
@@ -91,7 +92,7 @@ def lloyd_kmeans(
     k = centers.shape[0]
     assign = None
     for _ in range(max_iter):
-        d2 = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        d2 = _sq_distances(pts, centers, np.ones_like(centers))
         new_assign = np.argmin(d2, axis=1)
         if assign is not None and np.array_equal(new_assign, assign):
             break
@@ -104,14 +105,14 @@ def lloyd_kmeans(
                 assign[far] = j
             else:
                 centers[j] = pts[mask].mean(axis=0)
-    d2 = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+    d2 = _sq_distances(pts, centers, np.ones_like(centers))
     inertia = float(np.min(d2, axis=1).sum())
     return init.with_locations(centers), inertia
 
 
 def kmeans_labels(params: MixtureParams, data: Dataset) -> np.ndarray:
     """Nearest-center hard assignment (lowest index on ties)."""
-    d2 = np.sum((data.points[:, None, :] - params.locations[None, :, :]) ** 2, axis=2)
+    d2 = _sq_distances(data.points, params.locations, np.ones_like(params.locations))
     return np.argmin(d2, axis=1)
 
 

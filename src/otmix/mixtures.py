@@ -282,17 +282,36 @@ class Responsibilities:
         return self.matrix.mean(axis=0)
 
 
+def _sq_distances(points: np.ndarray, centers: np.ndarray, inv_var: np.ndarray) -> np.ndarray:
+    """sum_j (y_ij - c_kj)^2 w_kj as an (N, K) matrix, w = inv_var, without an (N, K, d) array:
+    (y^2) w^T - 2 y (c w)^T + sum c^2 w on y and c centred at the data mean ybar, so large
+    offsets do not cancel.  Absolute error ~ eps sum_j ((y_ij-ybar_j)^2 + (c_kj-ybar_j)^2) w_kj."""
+    centre = points.mean(axis=0)
+    y, c = points - centre, centers - centre
+    out = (y * y) @ inv_var.T
+    out -= y @ (2.0 * c * inv_var).T
+    out += np.sum(c * c * inv_var, axis=1)
+    return out
+
+
 def component_log_densities(params: MixtureParams, points: np.ndarray) -> np.ndarray:
-    """Log densities log q_{theta_k}(y_i) as an (N, K) matrix."""
+    """Log densities log q_{theta_k}(y_i) as an (N, K) matrix, from `_sq_distances`."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
     var = params.variance_matrix()  # (K, d)
-    diff = pts[:, None, :] - params.locations[None, :, :]  # (N, K, d)
-    sq = diff * diff / var[None, :, :]
-    quad = _row_sum(sq.reshape(-1, sq.shape[2])).reshape(sq.shape[:2])  # sum over d
-    log_norm = 0.5 * np.sum(LOG_2PI + np.log(var), axis=1)  # (K,)
-    return -0.5 * quad - log_norm[None, :]
+    out = _sq_distances(pts, params.locations, 1.0 / var)
+    out += np.sum(LOG_2PI + np.log(var), axis=1)
+    out *= -0.5
+    return out
+
+
+def _weighted_sq_deviation(psi, points, locations, mass) -> np.ndarray:
+    """sum_i psi_ik (y_ij - theta_kj)^2, (K, d), for psi with column sums `mass`:
+    the kernel's algebra psi^T y^2 - 2 theta psi^T y + theta^2 mass, centred."""
+    centre = points.mean(axis=0)
+    y, theta = points - centre, locations - centre
+    return psi.T @ (y * y) - 2.0 * theta * (psi.T @ y) + theta * theta * mass[:, None]
 
 
 def neg_loglik(params: MixtureParams, data: Dataset) -> float:
@@ -343,21 +362,26 @@ def _softmax_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return row_max, _row_sum(a)
 
 
+def _posterior(log_densities: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bayes responsibilities and the row log-sum-exp log sum_k alpha_k q_k(Y_i),
+    from one softmax: EM's E-step and ell in a single pass."""
+    e = log_densities + np.log(weights)[None, :]
+    row_max, row_sum = _softmax_rows(e)
+    np.divide(e, row_sum[:, None], out=e)
+    return e, row_max + np.log(row_sum)
+
+
 def neg_loglik_from_log_densities(log_densities: np.ndarray, weights: np.ndarray) -> float:
     """neg_loglik from a precomputed (N, K) log-density matrix."""
-    row_max, row_sum = _softmax_rows(log_densities + np.log(weights)[None, :])
-    return float(-np.mean(row_max + np.log(row_sum)))
+    return float(-np.mean(_posterior(log_densities, weights)[1]))
 
 
 def responsibility_matrix(log_densities: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Bayes responsibilities alpha_k q_k(Y_i) / sum_k' alpha_k' q_k'(Y_i).
 
-    The row softmax of `_softmax_rows` on the (N, K) log densities plus the
-    log weights; the Sinkhorn E-step is the same softmax at tilted weights.
+    The Sinkhorn E-step is the same softmax at tilted weights.
     """
-    e = log_densities + np.log(weights)[None, :]
-    _, row_sum = _softmax_rows(e)
-    return np.divide(e, row_sum[:, None], out=e)
+    return _posterior(log_densities, weights)[0]
 
 
 def _make_rng(seed) -> np.random.Generator:

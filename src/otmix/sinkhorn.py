@@ -28,6 +28,7 @@ from .mixtures import (
     MixtureParams,
     Responsibilities,
     _softmax_rows,
+    _weighted_sq_deviation,
     component_log_densities,
     neg_loglik,
 )
@@ -72,13 +73,12 @@ def tilt_weights(weights: np.ndarray, potentials: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SinkhornSolution:
-    """Dual potentials, transport plan, and solve diagnostics.
+    """Dual potentials, transport plan, and solve diagnostics, all at one point.
 
-    The tilted weights follow from the potentials: `tilt_weights(weights, potentials)`.
-    When `converged` is False the potentials are one step past the plan (the
-    next update, or the rollback of an overshot extrapolation): the plan and
-    `marginal_error` describe the previous potentials, and a warm start from
-    the returned ones continues the solve.
+    Converged or not, the plan is the row softmax of log_kernel + log(weights)
+    + potentials, `marginal_error` its column means' distance to the weights,
+    and `log_partition` its row log normalisers log sum_k alpha_k e^{omega_k}
+    K_ik.  The tilted weights are `tilt_weights(weights, potentials)`.
     """
 
     potentials: np.ndarray
@@ -86,6 +86,7 @@ class SinkhornSolution:
     marginal_error: float
     iterations: int
     converged: bool
+    log_partition: np.ndarray
 
 
 def transport_responsibilities(
@@ -116,8 +117,9 @@ def transport_responsibilities(
     boosted = False
     prev_omega = omega
     for iterations in range(1, cfg.max_iterations + 1):
+        plan_omega = omega  # the point of this pass's plan, and of the solution
         np.add(log_kernel, (log_w + omega)[None, :], out=buf)
-        _, row_sum = _softmax_rows(buf)
+        row_max, row_sum = _softmax_rows(buf)
         buf /= row_sum[:, None]
         marginal = np.add.reduce(buf, axis=0) / n
         error = float(np.abs(marginal - weights).max())
@@ -160,11 +162,12 @@ def transport_responsibilities(
         )
 
     return SinkhornSolution(
-        potentials=omega,
+        potentials=plan_omega,
         responsibilities=Responsibilities(buf),
         marginal_error=error,
         iterations=iterations,
         converged=converged,
+        log_partition=row_max + np.log(row_sum),
     )
 
 
@@ -214,9 +217,8 @@ def loss_entropic_semidual(
     """Sample entropic-OT loss via the semi-dual objective at the solved potentials."""
     if solution is None:
         solution = sinkhorn_estep(params, data, cfg)
-    return semidual_value(
-        component_log_densities(params, data.points), params.weights, solution.potentials
-    )
+    log_kernel = component_log_densities(params, data.points)
+    return semidual_value(log_kernel, params.weights, solution.potentials)
 
 
 @dataclass(frozen=True)
@@ -242,16 +244,15 @@ def grad_loss_entropic(
     if solution is None:
         solution = sinkhorn_estep(params, data, cfg)
     psi = solution.responsibilities.matrix  # (N, K)
-    n = data.n
     var = params.variance_matrix()  # (K, d)
-    diff = params.locations[None, :, :] - data.points[:, None, :]  # (N, K, d)
-    grad_loc = np.einsum("ik,ikj->kj", psi, diff / var[None, :, :]) / n
+    mass = psi.sum(axis=0)
+    grad_loc = (mass[:, None] * params.locations - psi.T @ data.points) / var / data.n
 
     grad_var = None
     if not params.variances.fixed:
         # d(-log q)/d v per entry: 1/(2v) - (y - theta)^2 / (2 v^2)
-        per_entry = (1.0 / (2.0 * var[None, :, :]) - diff**2 / (2.0 * var[None, :, :] ** 2))
-        g_diag = np.einsum("ik,ikj->kj", psi, per_entry) / n  # (K, d)
+        wsq = _weighted_sq_deviation(psi, data.points, params.locations, mass)
+        g_diag = (mass[:, None] / var - wsq / (var * var)) / (2.0 * data.n)  # (K, d)
         grad_var = params.variances.pool(g_diag)
     return EntropicGradient(locations=grad_loc, variances=grad_var)
 
@@ -266,8 +267,6 @@ def grad_loss_weights(
 
     The potentials are re-gauged to alpha-weighted mean zero first, so the
     returned direction does not depend on which coordinate the solver pinned.
-    A step that tilts the weights by a multiple of it is invariant to this
-    choice.
     """
     if solution is None:
         solution = sinkhorn_estep(params, data, cfg)

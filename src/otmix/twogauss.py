@@ -172,26 +172,10 @@ def loss_curves(model: TwoGaussModel, theta_grid) -> dict:
     dell = theta - F(theta, alpha*) and dL = theta - F(theta, alpha(theta)).
     """
     grid = np.asarray(theta_grid, dtype=float)
-    ell = np.empty_like(grid)
-    big_l = np.empty_like(grid)
-    dell = np.empty_like(grid)
-    d_big_l = np.empty_like(grid)
-    tilt = np.empty_like(grid)
-    for i, th in enumerate(grid):
-        e, l, a_t = loss_population(model, th)
-        ell[i] = e
-        big_l[i] = l
-        tilt[i] = a_t
-        dell[i] = th - map_F(model, th, model.alpha_star)
-        d_big_l[i] = th - map_F(model, th, a_t)
-    return {
-        "theta": grid,
-        "ell": ell,
-        "L": big_l,
-        "dell": dell,
-        "dL": d_big_l,
-        "alpha_tilt": tilt,
-    }
+    ell, big_l, tilt = np.array([loss_population(model, th) for th in grid]).reshape(-1, 3).T
+    dell = grid - np.array([map_F(model, th, model.alpha_star) for th in grid])
+    d_big_l = grid - np.array([map_F(model, th, a_t) for th, a_t in zip(grid, tilt)])
+    return {"theta": grid, "ell": ell, "L": big_l, "dell": dell, "dL": d_big_l, "alpha_tilt": tilt}
 
 
 def count_stationary(derivative_values) -> int:

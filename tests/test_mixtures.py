@@ -87,6 +87,39 @@ class TestComponentLogpdf:
         with pytest.raises(IndexError):
             logq[0, 2]
 
+    @staticmethod
+    def _per_component(params, points):
+        """The kernel one component at a time, from the differences y - theta_k."""
+        var = params.variance_matrix()
+        columns = []
+        for k in range(params.n_components):
+            diff = points - params.locations[k]
+            columns.append(-0.5 * np.sum(diff * diff / var[k] + np.log(2 * math.pi * var[k]), axis=1))
+        return np.stack(columns, axis=1)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    @pytest.mark.parametrize("kind", ["shared", "spherical", "diagonal"])
+    def test_gemm_form_matches_a_per_component_loop(self, kind, offset):
+        # centring at the data mean cancels a common offset before the GEMM
+        rng = np.random.default_rng(3)
+        params, data = random_instance(rng, k=5, d=3, n=400, kind=kind)
+        params = params.with_locations(params.locations + offset)
+        points = data.points + offset
+        expected = self._per_component(params, points)
+        np.testing.assert_allclose(component_log_densities(params, points), expected, rtol=0, atol=1e-10)
+
+    def test_far_apart_clusters_stay_within_the_rounding_bound(self):
+        # two unit-variance clusters 1e6 apart: the expanded square loses about
+        # eps * (|y - ybar|^2 + |theta - ybar|^2) / v per entry, which is ~1e-4
+        # here, so the kernel is held to that bound rather than to exactness
+        locations = np.array([[-5e5, 0.0], [5e5, 0.0]])
+        params = MixtureParams(locations, VarianceSpec.shared(1.0), np.array([0.5, 0.5]))
+        points = sample_mixture(params, 200, seed=5).points
+        error = np.abs(component_log_densities(params, points) - self._per_component(params, points))
+        centre = points.mean(axis=0)
+        scale = np.sum((points - centre) ** 2, axis=1)[:, None] + np.sum((locations - centre) ** 2, axis=1)
+        assert np.all(error <= 4 * np.finfo(float).eps * scale)
+
     def test_nonfinite_point_rejected(self):
         # points are checked once, where they enter: the Dataset
         p = scalar_params([0.0])

@@ -1,7 +1,8 @@
 """Property tests: whole EM and Sinkhorn-EM fits are equivariant under
 relabelling the components and under translating the data; the entropic
 loss agrees with its semi-dual form at any potentials and dominates the
-negative log-likelihood at solved ones; the solver's plan stays row-stochastic
+negative log-likelihood at solved ones; every loss-trace pair of a fit equals
+the standalone evaluators at its E-step's parameters and potentials; the solver's plan stays row-stochastic
 on extreme kernels; a Sinkhorn-EM fit descends its semi-dual loss within
 solver slack, and every Sinkhorn-EM M-step keeps the weighted centres on the
 data mean (the balance identity).  A variance spec's `expand` and `pool` are
@@ -16,6 +17,7 @@ fit run the same fixed number of outer steps.
 
 import warnings
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -30,6 +32,7 @@ from otmix import (
     SinkhornConfig,
     SinkhornNonConvergence,
     VarianceSpec,
+    component_log_densities,
     em_fit,
     loss_entropic,
     loss_entropic_semidual,
@@ -44,6 +47,9 @@ from otmix import (
     transport_responsibilities,
     vem_fit,
 )
+from otmix import fitting
+from otmix.mixtures import neg_loglik_from_log_densities
+from otmix.sinkhorn import semidual_value
 
 OUTER_STEPS = 8
 ATOL = 1e-8
@@ -176,6 +182,48 @@ def test_plan_on_extreme_kernels(n, k, seed, tolerance):
     assert np.max(np.abs(plan.matrix.sum(axis=1) - 1.0)) <= 1e-10
     if solution.converged:
         assert np.max(np.abs(plan.column_means() - weights)) <= tolerance
+
+
+@PROPERTY_SETTINGS
+@given(
+    problem=problems(),
+    method=st.sampled_from(["em", "em-weights", "sem", "sem-weights"]),
+    capped=st.booleans(),
+)
+def test_trace_pairs_equal_the_standalone_losses(problem, method, capped):
+    # the fitters read ell and L off their E-step's softmax; each pair must be
+    # the standalone evaluators' value at that E-step's parameters and
+    # potentials, for converged and capped solves alike
+    dataset, init, update_variances = problem
+    solver = (SinkhornConfig(tolerance=1e-12, max_iterations=10) if capped
+              else SinkhornConfig(tolerance=1e-8, max_iterations=20000))
+    cfg = FitConfig(max_outer_iterations=4, param_change_tolerance=1e-6, sinkhorn=solver,
+                    update_variances=update_variances, update_weights=method.endswith("weights"))
+    kernels, solves = [], []
+
+    def kernel(params, points):
+        kernels.append(params)
+        return component_log_densities(params, points)
+
+    def solve(log_kernel, weights, sinkhorn, initial_potentials=None):
+        solution = transport_responsibilities(log_kernel, weights, sinkhorn, initial_potentials)
+        solves.append((kernels[-1].with_weights(weights), solution.potentials))
+        return solution
+
+    with patch.object(fitting, "component_log_densities", kernel), \
+            patch.object(fitting, "transport_responsibilities", solve), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", SinkhornNonConvergence)
+        report = (em_fit if method.startswith("em") else sem_fit)(dataset, init, cfg)
+    points = [(params, None) for params in kernels] if method.startswith("em") else solves
+    assert len(points) == len(report.loss_trace)
+    for (params, omega), (ell, big_l) in zip(points, report.loss_trace):
+        log_kernel = component_log_densities(params, dataset.points)
+        assert abs(ell - neg_loglik_from_log_densities(log_kernel, params.weights)) <= 1e-12
+        if omega is None:
+            assert big_l is None
+        else:
+            assert abs(big_l - semidual_value(log_kernel, params.weights, omega)) <= 1e-12
 
 
 @PROPERTY_SETTINGS

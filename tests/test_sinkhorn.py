@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from otmix import (
     Dataset,
@@ -19,6 +20,7 @@ from otmix import (
     sem_fit,
     sinkhorn_estep,
     tilt_weights,
+    transport_responsibilities,
 )
 from otmix.fitting import FitConfig
 from conftest import random_instance
@@ -118,6 +120,24 @@ class TestSinkhornEstep:
         assert not sol.converged
         assert sol.marginal_error > 1e-10
         assert sol.iterations == 2
+
+    def test_capped_solve_returns_the_point_of_its_plan(self):
+        # stopped at its cap, a solve returns the potentials its plan, marginal
+        # error and log partition were computed from, not the next update
+        rng = np.random.default_rng(7)
+        log_kernel = rng.normal(scale=3.0, size=(200, 4))
+        weights = rng.dirichlet(np.ones(4))
+        cfg = SinkhornConfig(tolerance=1e-12, max_iterations=5)
+        with pytest.warns(SinkhornNonConvergence):
+            sol = transport_responsibilities(log_kernel, weights, cfg)
+        assert not sol.converged and sol.iterations == 5
+        logits = log_kernel + np.log(weights) + sol.potentials
+        lse = logsumexp(logits, axis=1)
+        plan = np.exp(logits - lse[:, None])
+        assert np.max(np.abs(plan - sol.responsibilities.matrix)) <= 1e-12
+        error = np.max(np.abs(plan.mean(axis=0) - weights))
+        assert sol.marginal_error == pytest.approx(error, rel=0, abs=1e-12)
+        assert np.max(np.abs(sol.log_partition - lse)) <= 1e-12
 
     def test_translation_equivariance(self, rng):
         params, data = random_instance(rng, k=3, d=2, n=60)
