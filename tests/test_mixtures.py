@@ -94,7 +94,8 @@ class TestComponentLogpdf:
         columns = []
         for k in range(params.n_components):
             diff = points - params.locations[k]
-            columns.append(-0.5 * np.sum(diff * diff / var[k] + np.log(2 * math.pi * var[k]), axis=1))
+            terms = diff * diff / var[k] + np.log(2 * math.pi * var[k])
+            columns.append(-0.5 * np.sum(terms, axis=1))
         return np.stack(columns, axis=1)
 
     @pytest.mark.parametrize("offset", [0.0, 1e6])
@@ -106,7 +107,8 @@ class TestComponentLogpdf:
         params = params.with_locations(params.locations + offset)
         points = data.points + offset
         expected = self._per_component(params, points)
-        np.testing.assert_allclose(component_log_densities(params, points), expected, rtol=0, atol=1e-10)
+        actual = component_log_densities(params, points)
+        np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-10)
 
     def test_far_apart_clusters_stay_within_the_rounding_bound(self):
         # two unit-variance clusters 1e6 apart: the expanded square loses about
@@ -115,9 +117,11 @@ class TestComponentLogpdf:
         locations = np.array([[-5e5, 0.0], [5e5, 0.0]])
         params = MixtureParams(locations, VarianceSpec.shared(1.0), np.array([0.5, 0.5]))
         points = sample_mixture(params, 200, seed=5).points
-        error = np.abs(component_log_densities(params, points) - self._per_component(params, points))
+        expected = self._per_component(params, points)
+        error = np.abs(component_log_densities(params, points) - expected)
         centre = points.mean(axis=0)
-        scale = np.sum((points - centre) ** 2, axis=1)[:, None] + np.sum((locations - centre) ** 2, axis=1)
+        scale = (np.sum((points - centre) ** 2, axis=1)[:, None]
+                 + np.sum((locations - centre) ** 2, axis=1))
         assert np.all(error <= 4 * np.finfo(float).eps * scale)
 
     def test_nonfinite_point_rejected(self):

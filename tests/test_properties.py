@@ -2,12 +2,12 @@
 relabelling the components and under translating the data; the entropic
 loss agrees with its semi-dual form at any potentials and dominates the
 negative log-likelihood at solved ones; every loss-trace pair of a fit equals
-the standalone evaluators at its E-step's parameters and potentials; the solver's plan stays row-stochastic
-on extreme kernels; a Sinkhorn-EM fit descends its semi-dual loss within
-solver slack, and every Sinkhorn-EM M-step keeps the weighted centres on the
-data mean (the balance identity).  A variance spec's `expand` and `pool` are
-adjoint for every kind.  Co-clustering fits are equivariant under permuting
-the matrix's rows and columns.
+the standalone evaluators at its E-step's parameters and potentials; the
+solver's plan stays row-stochastic on extreme kernels; a Sinkhorn-EM fit
+descends its semi-dual loss within solver slack, and every Sinkhorn-EM M-step
+keeps the weighted centres on the data mean (the balance identity).  A
+variance spec's `expand` and `pool` are adjoint for every kind.  Co-clustering
+fits are equivariant under permuting the matrix's rows and columns.
 
 Both symmetries hold exactly in exact arithmetic; in floating point the
 fits agree up to rounding and Sinkhorn slack, hence a tight solver tolerance
