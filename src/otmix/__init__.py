@@ -26,7 +26,6 @@ from .sinkhorn import (
     SinkhornNonConvergence,
     SinkhornSolution,
     grad_loss_entropic,
-    grad_loss_weights,
     loss_entropic,
     loss_entropic_semidual,
     sinkhorn_estep,

@@ -25,7 +25,8 @@ from scipy.optimize import linear_sum_assignment
 from scipy.special import xlogy
 
 from .fitting import FitConfig
-from .mixtures import VARIANCE_FLOOR, _as_float_array, _make_rng, responsibility_matrix
+from .mixtures import (VARIANCE_FLOOR, _as_float_array, _make_rng, _row_stochastic,
+                       responsibility_matrix)
 from .sinkhorn import transport_responsibilities
 
 INNER_TOLERANCE = 1e-4
@@ -98,15 +99,8 @@ class BlockResponsibilities:
     w: np.ndarray
 
     def __post_init__(self):
-        for name, m in (("z", self.z), ("w", self.w)):
-            arr = _as_float_array(m, name)
-            if arr.ndim != 2:
-                raise ValueError(f"{name} must be a matrix")
-            if np.any(arr < -1e-12) or np.any(arr > 1 + 1e-12):
-                raise ValueError(f"{name} entries must lie in [0, 1]")
-            if np.max(np.abs(arr.sum(axis=1) - 1.0)) > 1e-10:
-                raise ValueError(f"{name} rows must sum to 1 within 1e-10")
-            object.__setattr__(self, name, arr)
+        for name in ("z", "w"):
+            object.__setattr__(self, name, _row_stochastic(getattr(self, name), name))
 
     def hard_labels(self) -> tuple[np.ndarray, np.ndarray]:
         return np.argmax(self.z, axis=1), np.argmax(self.w, axis=1)

@@ -5,8 +5,11 @@ location (mean) row, a variance given by a :class:`VarianceSpec`, and a
 strictly positive weight.  All density work happens in log space, and one
 max-shifted row normaliser, `_softmax_rows`, gives both E-steps their row
 softmax and both losses their row log-sum-exp, so that far-away points and
-floor-level variances never overflow.  Every container is an immutable
-value; the functions here are pure.
+floor-level variances never overflow.  Every row sum of an N-row array is one
+matrix-vector product, `_row_sum`; it serves that normaliser and the one
+row-stochastic check, `_row_stochastic`, of `Responsibilities` and the
+co-clustering assignments.  Every container is an immutable value; the
+functions here are pure.
 """
 
 from __future__ import annotations
@@ -268,15 +271,7 @@ class Responsibilities:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _as_float_array(self.matrix, "responsibilities")
-        if m.ndim != 2:
-            raise ValueError("responsibilities must be an N x K matrix")
-        if np.any(m < -1e-12) or np.any(m > 1.0 + 1e-12):
-            raise ValueError("responsibility entries must lie in [0, 1]")
-        rows = m.sum(axis=1)
-        if np.max(np.abs(rows - 1.0)) > 1e-10:
-            raise ValueError("responsibility rows must sum to 1 within 1e-10")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _row_stochastic(self.matrix, "responsibilities"))
 
     def column_means(self) -> np.ndarray:
         return self.matrix.mean(axis=0)
@@ -334,18 +329,25 @@ def _row_max(a: np.ndarray) -> np.ndarray:
 
 
 def _row_sum(a: np.ndarray) -> np.ndarray:
-    """a.sum(axis=1) of an (N, K) array.
+    """The row sums of an (N, K) array, as the matrix-vector product a @ 1.
 
-    For K < 8 numpy adds a row's entries in sequence, starting from 0.  On a
-    tall array, adding whole columns in that order gives the same bits much
-    faster than numpy's one short inner loop per row.
+    BLAS sums a short row several times faster than numpy's one inner loop
+    per row; the bits are BLAS's, equal to numpy's up to rounding.
     """
-    if a.shape[1] >= 8 or a.shape[0] < 256:
-        return np.add.reduce(a, axis=1)
-    out = 0.0 + a[:, 0]
-    for j in range(1, a.shape[1]):
-        out += a[:, j]
-    return out
+    return a @ np.ones(a.shape[1])
+
+
+def _row_stochastic(matrix, name: str) -> np.ndarray:
+    """`matrix` as a float array, checked finite, 2-d, with entries in [0, 1]
+    and rows summing to 1; the messages name it `name`."""
+    m = _as_float_array(matrix, name)
+    if m.ndim != 2:
+        raise ValueError(f"{name} must be a matrix")
+    if np.any(m < -1e-12) or np.any(m > 1.0 + 1e-12):
+        raise ValueError(f"{name} entries must lie in [0, 1]")
+    if np.max(np.abs(_row_sum(m) - 1.0)) > 1e-10:
+        raise ValueError(f"{name} rows must sum to 1 within 1e-10")
+    return m
 
 
 def _softmax_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -256,20 +256,3 @@ def grad_loss_entropic(
         grad_var = params.variances.pool(g_diag)
     return EntropicGradient(locations=grad_loc, variances=grad_var)
 
-
-def grad_loss_weights(
-    params: MixtureParams,
-    data: Dataset,
-    cfg: SinkhornConfig,
-    solution: SinkhornSolution | None = None,
-) -> np.ndarray:
-    """Gradient of the entropic loss in the weights: omega - 1.
-
-    The potentials are re-gauged to alpha-weighted mean zero first, so the
-    returned direction does not depend on which coordinate the solver pinned.
-    """
-    if solution is None:
-        solution = sinkhorn_estep(params, data, cfg)
-    omega = solution.potentials
-    omega = omega - float(np.dot(params.weights, omega))
-    return omega - 1.0

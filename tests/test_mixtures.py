@@ -5,6 +5,7 @@ import pytest
 from scipy.special import logsumexp
 
 from otmix import (
+    BlockResponsibilities,
     Dataset,
     MixtureParams,
     Responsibilities,
@@ -58,6 +59,34 @@ def responsibilities(params, data):
     """Bayes responsibilities of the data under the mixture."""
     logq = component_log_densities(params, data.points)
     return Responsibilities(responsibility_matrix(logq, params.weights))
+
+
+MALFORMED = {
+    "nan": [[np.nan, 0.5, 0.5]],
+    "1-d": [0.2, 0.3, 0.5],
+    "negative": [[-0.1, 0.55, 0.55]],
+    "above-one": [[1.1, 0.0, 0.0]],
+    "row-sum": [[0.3, 0.3, 0.3]],
+}
+ROW_STOCHASTIC = np.full((2, 3), 1.0 / 3.0)
+
+
+@pytest.mark.parametrize("malformed", MALFORMED)
+@pytest.mark.parametrize(
+    "name, build",
+    [
+        ("responsibilities", Responsibilities),
+        ("z", lambda m: BlockResponsibilities(m, ROW_STOCHASTIC)),
+        ("w", lambda m: BlockResponsibilities(ROW_STOCHASTIC, m)),
+    ],
+    ids=["responsibilities", "z", "w"],
+)
+def test_row_stochastic_containers_reject_malformed(name, build, malformed):
+    m = np.array(MALFORMED[malformed])
+    if m.ndim == 2:
+        m = np.vstack([ROW_STOCHASTIC[:1], m])
+    with pytest.raises(ValueError, match=rf"^{name} "):
+        build(m)
 
 
 class TestComponentLogpdf:
@@ -162,8 +191,9 @@ class TestNegLoglik:
 
 
 class TestRowReductions:
-    """The row max and sum give numpy's values bit for bit; the normaliser
-    built on them matches the direct formulas up to rounding."""
+    """The row max gives numpy's values bit for bit and the row sum numpy's
+    up to rounding; the normaliser built on them matches the direct formulas
+    up to rounding."""
 
     def _arrays(self):
         rng = np.random.default_rng(7)
@@ -182,9 +212,14 @@ class TestRowReductions:
             assert np.array_equal(_row_max(a), a.max(axis=1), equal_nan=True)
             with np.errstate(over="ignore"):
                 positive = np.exp(a)
+            bound = a.shape[1] * np.finfo(float).eps
             for x in (a, positive):
-                assert np.array_equal(_row_sum(x), x.sum(axis=1), equal_nan=True)
-                assert np.array_equal(np.signbit(_row_sum(x)), np.signbit(x.sum(axis=1)))
+                got, want = _row_sum(x), x.sum(axis=1)
+                finite = np.isfinite(want)
+                assert np.array_equal(got[~finite], want[~finite], equal_nan=True)
+                exact = np.array([math.fsum(row) for row in x[finite]])
+                # on the all-positive exponentiated rows this is K eps relative
+                assert np.all(np.abs(got[finite] - exact) <= bound * np.abs(x[finite]).sum(axis=1))
 
     def test_softmax_rows(self):
         rng = np.random.default_rng(11)

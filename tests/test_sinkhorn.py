@@ -13,10 +13,10 @@ from otmix import (
     VarianceSpec,
     component_log_densities,
     grad_loss_entropic,
-    grad_loss_weights,
     loss_entropic,
     loss_entropic_semidual,
     neg_loglik,
+    sample_mixture,
     sem_fit,
     sinkhorn_estep,
     tilt_weights,
@@ -79,9 +79,14 @@ class TestSinkhornEstep:
         assert np.allclose(sol.potentials, 0.0, atol=1e-12)
         assert np.allclose(tilt_weights(params.weights, sol.potentials), params.weights, atol=1e-12)
 
-    def test_matches_bisection_oracle_k2(self):
-        params = scalar_params([0.0, 1.0])
-        data = Dataset(np.array([[0.0], [0.25], [1.0]]))
+    @pytest.mark.parametrize(
+        "weights, points",
+        [(None, [0.0, 0.25, 1.0]), ([0.4, 0.6], [0.0, 0.3, 0.9, 1.4])],
+        ids=["uniform", "weighted"],
+    )
+    def test_matches_bisection_oracle_k2(self, weights, points):
+        params = scalar_params([0.0, 1.0], weights=weights)
+        data = Dataset(np.array(points)[:, None])
         oracle = bisect_omega_k2(params, data)
         sol = sinkhorn_estep(params, data, SinkhornConfig(tolerance=1e-12, max_iterations=100000))
         # solver pins the last coordinate to zero, same gauge as the oracle
@@ -139,6 +144,19 @@ class TestSinkhornEstep:
         assert sol.marginal_error == pytest.approx(error, rel=0, abs=1e-12)
         assert np.max(np.abs(sol.log_partition - lse)) <= 1e-12
 
+    def test_potentials_flat_at_truth_for_large_n(self):
+        # population limit: at the true parameters of an overlapping mixture
+        # the potentials shrink with N, so tilting by them leaves the weights
+        # nearly alone.  (With nearly disjoint components the sample-level
+        # potentials are genuinely large: matching marginals then requires
+        # real transport.)
+        truth = scalar_params([-1.0, 0.0, 1.0], var=1.0, weights=[0.3, 0.3, 0.4])
+        data = sample_mixture(truth, 20000, 5)
+        cfg = SinkhornConfig(tolerance=1e-8, max_iterations=20000)
+        omega = sinkhorn_estep(truth, data, cfg).potentials
+        assert np.max(np.abs(omega - omega.mean())) < 0.05
+        assert np.max(np.abs(tilt_weights(truth.weights, -omega) - truth.weights)) < 0.02
+
     def test_translation_equivariance(self, rng):
         params, data = random_instance(rng, k=3, d=2, n=60)
         shift = np.array([3.7, -1.2])
@@ -169,6 +187,12 @@ class TestTiltedWeights:
         w = np.array([0.5, 0.5])
         omega = np.array([math.log(3.0), 0.0])
         assert np.allclose(tilt_weights(w, omega), [0.75, 0.25], atol=1e-14)
+
+
+    def test_constant_potentials_leave_weights_fixed(self):
+        alpha = np.array([0.25, 0.35, 0.4])
+        grad = np.full(3, 2.2) - 1.0
+        assert np.allclose(tilt_weights(alpha, -0.7 * grad), alpha, atol=1e-15)
 
 
 class TestLossEntropic:
@@ -276,34 +300,3 @@ class TestGradLossEntropic:
         params, data = random_instance(rng, k=2, fixed=True)
         g = grad_loss_entropic(params, data, TIGHT)
         assert g.variances is None
-
-
-class TestGradLossWeights:
-    def test_k2_matches_bisection_oracle(self):
-        params = scalar_params([0.0, 1.0], weights=[0.4, 0.6])
-        data = Dataset(np.array([[0.0], [0.3], [0.9], [1.4]]))
-        u = bisect_omega_k2(params, data)
-        omega = np.array([u, 0.0])
-        omega = omega - float(params.weights @ omega)
-        g = grad_loss_weights(params, data, SinkhornConfig(tolerance=1e-12, max_iterations=100000))
-        assert np.allclose(g, omega - 1.0, atol=1e-8)
-
-    def test_constant_potentials_leave_weights_fixed(self):
-        alpha = np.array([0.25, 0.35, 0.4])
-        grad = np.full(3, 2.2) - 1.0
-        assert np.allclose(tilt_weights(alpha, -0.7 * grad), alpha, atol=1e-15)
-
-    def test_gradient_flat_at_truth_for_large_n(self):
-        # population limit: at the true parameters of an overlapping mixture
-        # the potentials shrink with N, so the simplex-tangent component of
-        # the gradient goes to zero and the EG step leaves the weights alone.
-        # (With nearly disjoint components the sample-level potentials are
-        # genuinely large: matching marginals then requires real transport.)
-        truth = scalar_params([-1.0, 0.0, 1.0], var=1.0, weights=[0.3, 0.3, 0.4])
-        from otmix import sample_mixture
-
-        data = sample_mixture(truth, 20000, 5)
-        g = grad_loss_weights(truth, data, SinkhornConfig(tolerance=1e-8, max_iterations=20000))
-        assert np.max(np.abs(g - g.mean())) < 0.05
-        stepped = tilt_weights(truth.weights, -1.0 * g)
-        assert np.max(np.abs(stepped - truth.weights)) < 0.02

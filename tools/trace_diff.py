@@ -4,10 +4,13 @@
     python3 tools/trace_diff.py PARENT CHANGE
 
 In each checkout, with `otmix` imported from its `src/` through PYTHONPATH,
-runs EM and Sinkhorn-EM on the C10 cell (K=20, d=2, N=1000, sigma^2=0.1,
-uniform weights) for 8 seeds, once with the shared variance known and once
-with diagonal variances estimated: 32 fits from k-means++ starts, at the
-`FitConfig` defaults.  Prints the fits whose iteration counts differ, then
+runs EM and Sinkhorn-EM for 8 seeds on three cells, all in d=2 with
+sigma^2=0.1 and uniform weights: the C10 cell (K=20, N=1000) once with the
+shared variance known and once with diagonal variances estimated, and a
+small-K, tall cell (K=3, N=2000) with the shared variance known, whose
+short, many rows take other paths through the row reductions.  That is 48
+fits from k-means++ starts, at the `FitConfig` defaults.  Prints the fits
+whose iteration counts differ, then
 the largest absolute difference of the loss traces and of the final
 locations over the fits whose counts agree.  Exits 1 if a count differs.
 
@@ -23,12 +26,13 @@ import sys
 from pathlib import Path
 
 SEEDS = range(8)
-K, D, N, SIGMA2 = 20, 2, 1000, 0.1
-REGIMES = ("shared-known", "diagonal-estimated")
+D, SIGMA2 = 2, 0.1
+# (K, N, variance regime) per cell; a cell's index seeds its instances
+CELLS = ((20, 1000, "shared-known"), (20, 1000, "diagonal-estimated"), (3, 2000, "shared-known"))
 
 
 def run_fits() -> None:
-    """Print the 32 fits of the otmix on PYTHONPATH as one JSON object."""
+    """Print the 48 fits of the otmix on PYTHONPATH as one JSON object."""
     import warnings
 
     import numpy as np
@@ -38,23 +42,23 @@ def run_fits() -> None:
 
     fits = {}
     for seed in SEEDS:
-        for regime in REGIMES:
-            rng = np.random.default_rng((seed, REGIMES.index(regime)))
-            locations = rng.uniform(-1.0, 1.0, size=(K, D))
+        for cell, (k, n, regime) in enumerate(CELLS):
+            rng = np.random.default_rng((seed, cell))
+            locations = rng.uniform(-1.0, 1.0, size=(k, D))
             if regime == "shared-known":
                 truth_variances = init_variances = VarianceSpec.shared(SIGMA2)
             else:
-                truth_variances = VarianceSpec.diagonal(rng.uniform(0.5, 1.5, (K, D)) * SIGMA2)
-                init_variances = VarianceSpec.diagonal(np.ones((K, D)), fixed=False)
-            truth = MixtureParams(locations, truth_variances, np.full(K, 1.0 / K))
-            data = sample_mixture(truth, N, rng)
-            init = kmeanspp_init(data, K, rng).with_variances(init_variances)
+                truth_variances = VarianceSpec.diagonal(rng.uniform(0.5, 1.5, (k, D)) * SIGMA2)
+                init_variances = VarianceSpec.diagonal(np.ones((k, D)), fixed=False)
+            truth = MixtureParams(locations, truth_variances, np.full(k, 1.0 / k))
+            data = sample_mixture(truth, n, rng)
+            init = kmeanspp_init(data, k, rng).with_variances(init_variances)
             cfg = FitConfig(update_variances=regime == "diagonal-estimated")
             for method, fit in (("em", em_fit), ("sem", sem_fit)):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", SinkhornNonConvergence)
                     report = fit(data, init, cfg)
-                fits[f"{seed}/{regime}/{method}"] = {
+                fits[f"{seed}/K{k}-N{n}-{regime}/{method}"] = {
                     "iterations": report.iterations,
                     "trace": [list(pair) for pair in report.loss_trace],
                     "locations": report.final_params.locations.tolist(),
