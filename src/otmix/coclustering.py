@@ -6,7 +6,9 @@ inside each phase, soft assignments and block parameters are updated until
 the phase stabilizes.  The aggregate statistics Y^w, u^w reduce a phase to a
 weighted K-component problem.  The column phase is the row phase on Y.T, so
 `_phase` names blocks (row class, column class) of the matrix it is given;
-`_vem_generic` turns the column phase's blocks back into that order.
+`_vem_generic` turns the column phase's blocks back into that order.  The fit
+runs on Y minus its mean, which is added back to the block means, so that a
+constant offset moves the means and nothing else.
 
 Sinkhorn-VEM replaces the soft-assignment updates with entropic-OT plans
 whose column means equal the row (resp. column) class weights; when the
@@ -319,6 +321,10 @@ def _vem_generic(
     )
 
     t0 = time.perf_counter()
+    # fit the centred matrix: on entries far from 0, the second moments and
+    # E[y^2] - mu^2 would cancel, so a constant offset would change the fit
+    centre = float(np.mean(y))
+    y = y - centre
     means, var, pi, rho = _initial_parameters(y, z, w)
     var = var if variances is None else variances
     pi = pi if row_weights is None else row_weights
@@ -355,7 +361,7 @@ def _vem_generic(
             converged = True
             break
 
-    model = BlockModel(means, var, pi, rho)
+    model = BlockModel(means + centre, var, pi, rho)
     resp = BlockResponsibilities(z, w)
     report = CoclusterReport(
         converged=converged,

@@ -7,7 +7,8 @@ solver's plan stays row-stochastic on extreme kernels; a Sinkhorn-EM fit
 descends its semi-dual loss within solver slack, and every Sinkhorn-EM M-step
 keeps the weighted centres on the data mean (the balance identity).  A
 variance spec's `expand` and `pool` are adjoint for every kind.  Co-clustering
-fits are equivariant under permuting the matrix's rows and columns.
+fits are equivariant under permuting the matrix's rows and columns, and
+translating the matrix translates the block means and changes nothing else.
 
 Both symmetries hold exactly in exact arithmetic; in floating point the
 fits agree up to rounding and Sinkhorn slack, hence a tight solver tolerance
@@ -345,3 +346,33 @@ def test_permuting_rows_and_columns_permutes_the_block_fit(
     np.testing.assert_allclose(p_resp.z, resp.z[rows], rtol=0, atol=ATOL)
     np.testing.assert_allclose(p_resp.w, resp.w[cols], rtol=0, atol=ATOL)
     assert p_report.iterations == report.iterations
+
+
+@PROPERTY_SETTINGS
+@given(
+    problem=block_problems(),
+    fit=st.sampled_from([vem_fit, svem_fit]),
+    known_variances=st.booleans(),
+    offset=st.sampled_from([1e3, 1e6]),
+)
+def test_translating_the_matrix_translates_the_block_means(problem, fit, known_variances, offset):
+    y, init, truth = problem
+    cfg = FitConfig(
+        sinkhorn=SinkhornConfig(tolerance=1e-10), update_variances=not known_variances
+    )
+    overrides = {"row_weights": truth.row_weights, "col_weights": truth.col_weights}
+    if known_variances:
+        overrides["variances"] = truth.variances
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SinkhornNonConvergence)
+        base = _block_fit_or_empty_block(fit, y, init, cfg, overrides)
+        shifted = _block_fit_or_empty_block(fit, y + offset, init, cfg, overrides)
+    if not isinstance(base[0], BlockModel):
+        assert shifted == base
+        return
+    (model, resp, report), (s_model, s_resp, s_report) = base, shifted
+    np.testing.assert_allclose(s_model.means - offset, model.means, rtol=0, atol=ATOL)
+    np.testing.assert_allclose(s_model.variances, model.variances, rtol=0, atol=ATOL)
+    np.testing.assert_allclose(s_resp.z, resp.z, rtol=0, atol=ATOL)
+    np.testing.assert_allclose(s_resp.w, resp.w, rtol=0, atol=ATOL)
+    assert s_report.iterations == report.iterations
