@@ -188,7 +188,6 @@ class TestTiltedWeights:
         omega = np.array([math.log(3.0), 0.0])
         assert np.allclose(tilt_weights(w, omega), [0.75, 0.25], atol=1e-14)
 
-
     def test_constant_potentials_leave_weights_fixed(self):
         alpha = np.array([0.25, 0.35, 0.4])
         grad = np.full(3, 2.2) - 1.0
