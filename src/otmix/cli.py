@@ -97,9 +97,10 @@ def _cmd_fit(args) -> int:
             }
         else:
             fit = em_fit if args.method == "em" else sem_fit
-            report = fit(data, init, cfg, seed=args.seed)
+            report = fit(data, init, cfg)
             params = report.final_params
             report_dict = report.to_json_dict(include_trace=args.trace)
+    report_dict["seed"] = args.seed
     if args.out_params:
         params.save_json(args.out_params)
     if args.out_report:

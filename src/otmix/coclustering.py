@@ -19,7 +19,6 @@ is a plain VEM update so the weights can move.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +26,8 @@ from scipy.optimize import linear_sum_assignment
 from scipy.special import xlogy
 
 from .fitting import FitConfig
-from .mixtures import (VARIANCE_FLOOR, _as_float_array, _make_rng, _row_stochastic,
-                       responsibility_matrix)
+from .mixtures import (VARIANCE_FLOOR, _as_float_array, _floored, _make_rng, _row_stochastic,
+                       _simplex, responsibility_matrix)
 from .sinkhorn import transport_responsibilities
 
 INNER_TOLERANCE = 1e-4
@@ -59,18 +58,11 @@ class BlockModel:
 
     def __post_init__(self):
         means = _as_float_array(self.means, "means")
-        variances = _as_float_array(self.variances, "variances")
-        pi = _as_float_array(self.row_weights, "row_weights")
-        rho = _as_float_array(self.col_weights, "col_weights")
+        variances = _floored(self.variances, "variances")
         if means.ndim != 2 or variances.shape != means.shape:
             raise ValueError("means and variances must be matching K x G matrices")
-        if pi.shape != (means.shape[0],) or rho.shape != (means.shape[1],):
-            raise ValueError("weight vectors must match K and G")
-        for w in (pi, rho):
-            if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-12:
-                raise ValueError("weights must be positive and sum to 1")
-        if np.any(variances < VARIANCE_FLOOR * (1 - 1e-12)):
-            raise ValueError(f"variances must be >= {VARIANCE_FLOOR}")
+        pi = _simplex(self.row_weights, "row_weights", means.shape[0])
+        rho = _simplex(self.col_weights, "col_weights", means.shape[1])
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "variances", variances)
         object.__setattr__(self, "row_weights", pi)
@@ -114,7 +106,6 @@ class CoclusterReport:
 
     converged: bool
     iterations: int
-    elapsed: float
     max_marginal_error: float
     inner_surrogates: list
 
@@ -279,9 +270,7 @@ def _phase(y, opposite, means, variances, weights, cfg: FitConfig, use_transport
 def _checked_overrides(k: int, g: int, variances, row_weights, col_weights) -> list:
     """The known-parameter overrides, checked before any fitting; None where not given."""
     if variances is not None:
-        variances = _as_float_array(variances, "variances")
-        if np.any(variances < VARIANCE_FLOOR * (1 - 1e-12)):
-            raise ValueError(f"variances must be >= {VARIANCE_FLOOR:g}")
+        variances = _floored(variances, "variances")
         try:
             variances = np.broadcast_to(variances, (k, g)).copy()
         except ValueError:
@@ -289,11 +278,7 @@ def _checked_overrides(k: int, g: int, variances, row_weights, col_weights) -> l
                              f"({k}, {g})") from None
     checked = [variances]
     for name, wts, size in (("row_weights", row_weights, k), ("col_weights", col_weights, g)):
-        if wts is not None:
-            wts = _as_float_array(wts, name).copy()
-            if wts.shape != (size,) or np.any(wts <= 0) or abs(wts.sum() - 1.0) > 1e-12:
-                raise ValueError(f"{name} must be {size} positive numbers summing to 1")
-        checked.append(wts)
+        checked.append(None if wts is None else _simplex(wts, name, size).copy())
     return checked
 
 
@@ -320,7 +305,6 @@ def _vem_generic(
         k, g, variances, row_weights, col_weights
     )
 
-    t0 = time.perf_counter()
     # fit the centred matrix: on entries far from 0, the second moments and
     # E[y^2] - mu^2 would cancel, so a constant offset would change the fit
     centre = float(np.mean(y))
@@ -366,7 +350,6 @@ def _vem_generic(
     report = CoclusterReport(
         converged=converged,
         iterations=outer,
-        elapsed=time.perf_counter() - t0,
         max_marginal_error=max_err,
         inner_surrogates=surrogates,
     )

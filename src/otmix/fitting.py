@@ -26,7 +26,6 @@ exact minimiser of the entropic loss in the weights).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -97,8 +96,6 @@ class FitReport:
     responsibilities: Responsibilities
     converged: bool
     iterations: int
-    seed: object = None
-    elapsed: float = 0.0
     sinkhorn_converged: bool = True
 
     def to_json_dict(self, include_trace: bool = False) -> dict:
@@ -106,8 +103,6 @@ class FitReport:
             "final_params": self.final_params.to_json_dict(),
             "converged": self.converged,
             "iterations": self.iterations,
-            "seed": self.seed,
-            "elapsed": self.elapsed,
             "sinkhorn_converged": self.sinkhorn_converged,
             "final_ell": self.loss_trace[-1][0] if self.loss_trace else None,
         }
@@ -173,9 +168,8 @@ def _transport_losses(solution: SinkhornSolution, weights: np.ndarray) -> tuple[
     return float(ell), float(np.dot(weights, omega) - np.mean(lse))
 
 
-def _fit(data: Dataset, init: MixtureParams, cfg: FitConfig, seed, transport: bool) -> FitReport:
+def _fit(data: Dataset, init: MixtureParams, cfg: FitConfig, transport: bool) -> FitReport:
     """The outer loop of EM (transport=False) and Sinkhorn-EM; see the module docstring."""
-    t0 = time.perf_counter()
     params = _effective_init(init, cfg)
     omega = None
     trace = []
@@ -208,18 +202,16 @@ def _fit(data: Dataset, init: MixtureParams, cfg: FitConfig, seed, transport: bo
         responsibilities=resp,
         converged=converged,
         iterations=iterations,
-        seed=seed,
-        elapsed=time.perf_counter() - t0,
         sinkhorn_converged=all_solves_converged,
     )
 
 
-def em_fit(data: Dataset, init: MixtureParams, cfg: FitConfig, seed=None) -> FitReport:
+def em_fit(data: Dataset, init: MixtureParams, cfg: FitConfig) -> FitReport:
     """Classical EM: vanilla E-step, Gaussian M-step, closed-form weights."""
-    return _fit(data, init, cfg, seed, transport=False)
+    return _fit(data, init, cfg, transport=False)
 
 
-def sem_fit(data: Dataset, init: MixtureParams, cfg: FitConfig, seed=None) -> FitReport:
+def sem_fit(data: Dataset, init: MixtureParams, cfg: FitConfig) -> FitReport:
     """Sinkhorn-EM: transport E-step at fixed weights, Gaussian M-step.
 
     The entropic loss trace is evaluated from each E-step's potentials, so it
@@ -228,8 +220,8 @@ def sem_fit(data: Dataset, init: MixtureParams, cfg: FitConfig, seed=None) -> Fi
     weights are inferred by block-coordinate descent (`_coordinate_descent`).
     """
     if cfg.update_weights:
-        return _coordinate_descent(data, init, cfg, seed)
-    return _fit(data, init, cfg, seed, transport=True)
+        return _coordinate_descent(data, init, cfg)
+    return _fit(data, init, cfg, transport=True)
 
 
 # Cap on the iterations of one weight phase.  Over 4,240 phases (the weight
@@ -238,7 +230,7 @@ def sem_fit(data: Dataset, init: MixtureParams, cfg: FitConfig, seed=None) -> Fi
 MAX_WEIGHT_ITERATIONS = 1000
 
 
-def _coordinate_descent(data: Dataset, init: MixtureParams, cfg: FitConfig, seed) -> FitReport:
+def _coordinate_descent(data: Dataset, init: MixtureParams, cfg: FitConfig) -> FitReport:
     """Block-coordinate descent of the entropic loss L over locations and weights.
 
     Each round runs (a) Sinkhorn-EM in the locations at frozen weights, then
@@ -254,7 +246,6 @@ def _coordinate_descent(data: Dataset, init: MixtureParams, cfg: FitConfig, seed
     which solves the marginal equation at the fixed point.  Stops when the
     L1 parameter change over a round falls below tolerance.
     """
-    t0 = time.perf_counter()
     params = _effective_init(init, cfg)
     trace = []
     converged = False
@@ -264,7 +255,7 @@ def _coordinate_descent(data: Dataset, init: MixtureParams, cfg: FitConfig, seed
         round_start = params
 
         # (a) theta phase
-        report = _fit(data, params, cfg, None, transport=True)
+        report = _fit(data, params, cfg, transport=True)
         all_solves_converged &= report.sinkhorn_converged
         iterations += report.iterations
         trace.extend(report.loss_trace)
@@ -297,7 +288,5 @@ def _coordinate_descent(data: Dataset, init: MixtureParams, cfg: FitConfig, seed
         responsibilities=final_solution.responsibilities,
         converged=converged,
         iterations=iterations,
-        seed=seed,
-        elapsed=time.perf_counter() - t0,
         sinkhorn_converged=all_solves_converged and final_solution.converged,
     )

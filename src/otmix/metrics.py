@@ -194,9 +194,10 @@ def select_k(
     """Best-of-seeds fits per candidate K, then arg-min BIC (ties: smallest K).
 
     `fit` is called as fit(data, init_params, seed_index) and must return a
-    FitReport-like object with final_params.  The best seed per candidate is
-    chosen by in-sample negative log-likelihood; the BIC counts no weight
-    parameters.  Candidates whose every fit raises are skipped and flagged.
+    FitReport-like object with final_params and loss_trace.  The best seed per
+    candidate is chosen by in-sample negative log-likelihood, the ell of the
+    fit's last trace pair; the BIC counts no weight parameters.  Candidates
+    whose every fit raises are skipped and flagged.
     """
     k_candidates = list(k_candidates)
     if not k_candidates:
@@ -216,7 +217,7 @@ def select_k(
                 report = fit(data, init, s)
             except Exception:
                 continue
-            ell = neg_loglik(report.final_params, data)
+            ell = report.loss_trace[-1][0]
             if ell < best_ell:
                 best_ell = ell
                 best_params = report.final_params

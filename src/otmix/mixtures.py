@@ -39,6 +39,22 @@ def _as_float_array(x, name: str) -> np.ndarray:
     return arr
 
 
+def _simplex(x, name: str, size: int) -> np.ndarray:
+    """x as `size` positive floats that sum to 1 within 1e-12."""
+    w = _as_float_array(x, name)
+    if w.shape != (size,) or np.any(w <= 0.0) or abs(w.sum() - 1.0) > 1e-12:
+        raise ValueError(f"{name} must be {size} positive numbers summing to 1")
+    return w
+
+
+def _floored(x, name: str) -> np.ndarray:
+    """x as variances: floats at or above VARIANCE_FLOOR (up to a 1e-12 relative slack)."""
+    v = _as_float_array(x, name)
+    if np.any(v < VARIANCE_FLOOR * (1.0 - 1e-12)):
+        raise ValueError(f"{name} must be >= {VARIANCE_FLOOR:g}")
+    return v
+
+
 @dataclass(frozen=True)
 class VarianceSpec:
     """Variance regime of a mixture: the one place that knows the variance kinds.
@@ -63,15 +79,13 @@ class VarianceSpec:
     def __post_init__(self):
         if self.kind not in TIED_AXES:
             raise ValueError(f"unknown variance kind {self.kind!r}")
-        vals = _as_float_array(self.values, "variances")
+        vals = _floored(self.values, "variances")
         expected_ndim = 2 - len(TIED_AXES[self.kind])
         if vals.ndim != expected_ndim:
             raise ValueError(
                 f"variance kind {self.kind!r} requires a {expected_ndim}-d array, "
                 f"got shape {vals.shape}"
             )
-        if np.any(vals < VARIANCE_FLOOR * (1.0 - 1e-12)):
-            raise ValueError(f"variance entries must be >= {VARIANCE_FLOOR}")
         object.__setattr__(self, "values", vals)
 
     @classmethod
@@ -136,13 +150,7 @@ class MixtureParams:
             loc = loc[:, None]
         if loc.ndim != 2 or loc.shape[0] < 1 or loc.shape[1] < 1:
             raise ValueError("locations must be a K x d matrix with K, d >= 1")
-        w = _as_float_array(self.weights, "weights")
-        if w.shape != (loc.shape[0],):
-            raise ValueError("weights must be a K-vector")
-        if np.any(w <= 0.0):
-            raise ValueError("weights must be strictly positive")
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1 within 1e-12")
+        w = _simplex(self.weights, "weights", loc.shape[0])
         # shape consistency with the variance spec
         self.variances.expand(loc.shape[0], loc.shape[1])
         object.__setattr__(self, "locations", loc)

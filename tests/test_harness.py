@@ -172,6 +172,12 @@ class TestRunExperiment:
         header = (tmp_path / "results.csv").read_text().splitlines()[0]
         assert header == ",".join(RESULT_COLUMNS)
 
+    def test_timing_fills_wall_ms_for_every_method(self, tiny_spec):
+        timed = run_experiment(tiny_spec, timing=True)
+        assert {r["method"] for r in timed} == {"kmeans", "em", "sem"}
+        assert all(r["wall_ms"] > 0 for r in timed)
+        assert all(r["wall_ms"] == 0 for r in run_experiment(tiny_spec))
+
     def test_scores_are_sane(self, tiny_spec):
         rows = run_experiment(tiny_spec)
         for r in rows:
@@ -250,6 +256,20 @@ class TestCli:
         assert "final_ell" in report
         fitted = MixtureParams.load_json(fit_params)
         assert fitted.n_components == 3
+
+    def test_fit_report_file_is_deterministic(self, tmp_path):
+        data_csv = tmp_path / "data.csv"
+        cli.main(["simulate", "--k", "3", "--d", "2", "--sigma2", "0.05", "--n", "150",
+                  "--seed", "3", "--out-data", str(data_csv),
+                  "--out-params", str(tmp_path / "truth.json")])
+        reports = [tmp_path / "a.json", tmp_path / "b.json"]
+        for report_json in reports:
+            rc = cli.main(["fit", "--data", str(data_csv), "--method", "sem", "--k", "3",
+                           "--seed", "4", "--trace", "--out-report", str(report_json)])
+            assert rc == 0
+        assert reports[0].read_bytes() == reports[1].read_bytes()
+        report = json.loads(reports[0].read_text())
+        assert report["seed"] == 4 and "elapsed" not in report
 
     def test_fit_sem_update_weights_infers_the_weights(self, tmp_path):
         # classes of 30 and 90 points: the inferred weights leave the uniform

@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
 from otmix import (
+    BlockModel,
     BlockResponsibilities,
     Dataset,
     MixtureParams,
@@ -87,6 +89,36 @@ def test_row_stochastic_containers_reject_malformed(name, build, malformed):
         m = np.vstack([ROW_STOCHASTIC[:1], m])
     with pytest.raises(ValueError, match=rf"^{name} "):
         build(m)
+
+
+BLOCK = {"means": np.zeros((2, 3)), "variances": np.ones((2, 3)),
+         "row_weights": [0.5, 0.5], "col_weights": [0.2, 0.3, 0.5]}
+# case: (constructor, its arguments, expected error text)
+BAD_WEIGHTS_AND_VARIANCES = {
+    "row-sum": (BlockModel, {**BLOCK, "row_weights": [0.7, 0.7]},
+                "row_weights must be 2 positive numbers summing to 1"),
+    "row-length": (BlockModel, {**BLOCK, "row_weights": [1.0]},
+                   "row_weights must be 2 positive numbers summing to 1"),
+    "col-sum": (BlockModel, {**BLOCK, "col_weights": [0.5, 0.5, 0.5]},
+                "col_weights must be 3 positive numbers summing to 1"),
+    "col-length": (BlockModel, {**BLOCK, "col_weights": [0.5, 0.5]},
+                   "col_weights must be 3 positive numbers summing to 1"),
+    "block-floor": (BlockModel, {**BLOCK, "variances": np.full((2, 3), 1e-9)},
+                    "variances must be >= 1e-06"),
+    "mixture-weights": (MixtureParams, {"locations": np.zeros((2, 1)),
+                                        "variances": VarianceSpec.shared(1.0),
+                                        "weights": [0.6, 0.5]},
+                        "weights must be 2 positive numbers summing to 1"),
+    "spec-floor": (VarianceSpec, {"kind": "shared", "values": 1e-9},
+                   "variances must be >= 1e-06"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_WEIGHTS_AND_VARIANCES)
+def test_bad_weights_and_variances_are_named(case):
+    build, kwargs, expected = BAD_WEIGHTS_AND_VARIANCES[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        build(**kwargs)
 
 
 class TestComponentLogpdf:

@@ -19,10 +19,12 @@ only where the outputs agree to the bit.  It covers:
 - the result files of criterion C14 (`run_experiment` and
   `run_selection_sweep` at its spec);
 - a Dirichlet-weight `run_experiment` in variance regimes iii and iv, where
-  Sinkhorn-EM infers the weights.
+  Sinkhorn-EM infers the weights;
+- a best-of-seeds `run_experiment` (criterion C10's selection by ell);
+- the report file of `otmix fit --method sem`, written through `cli.main`.
 
-Only the public API is used, and `elapsed` wall times are left out.  Runs in
-well under a minute on one core.
+Only the public API and the command line are used.  Runs in well under a
+minute on one core.
 """
 
 import hashlib
@@ -34,6 +36,7 @@ from pathlib import Path
 import numpy as np
 
 import otmix
+from otmix import cli
 from otmix import (
     BlockModel,
     ExperimentSpec,
@@ -175,6 +178,17 @@ def file_entries(tmp: Path):
                               methods=("em", "sem"), master_seed=7)
         run_experiment(spec, out_dir=tmp / regime)
         yield f"file/dirichlet-{regime}/results.csv", (tmp / regime / "results.csv").read_text()
+    best = ExperimentSpec(ks=(4,), ds=(2,), sigma2s=(0.05,), ns=(150,), n_replicates=3,
+                          n_seeds=3, methods=("kmeans", "em", "sem"), selection="best-of-seeds",
+                          master_seed=110)
+    run_experiment(best, out_dir=tmp / "best")
+    yield "file/best-of-seeds/results.csv", (tmp / "best" / "results.csv").read_text()
+    data, report = tmp / "fit-data.csv", tmp / "fit-report.json"
+    cli.main(["simulate", "--k", "3", "--d", "2", "--sigma2", "0.05", "--n", "150", "--seed", "3",
+              "--out-data", str(data), "--out-params", str(tmp / "fit-truth.json")])
+    cli.main(["fit", "--data", str(data), "--method", "sem", "--k", "3", "--sigma2", "0.05",
+              "--seed", "4", "--trace", "--out-report", str(report)])
+    yield "file/cli-fit-sem/report.json", report.read_text()
 
 
 def entries():
