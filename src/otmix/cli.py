@@ -19,6 +19,7 @@ import numpy as np
 from .coclustering import EmptyBlockError, random_block_init, svem_fit, vem_fit
 from .fitting import EmptyComponentError, FitConfig, em_fit, sem_fit
 from .harness import (
+    VARIANCE_REGIMES,
     _sample_truth,
     _task_rng,
     run_experiment,
@@ -62,13 +63,14 @@ def _fit_config(args) -> FitConfig:
 
 
 def _cmd_simulate(args) -> int:
+    if args.gamma is not None and not args.gamma > 0:
+        raise ValueError(f"--gamma must be positive, got {args.gamma:g}")
     truth = _sample_truth(
         _task_rng(args.seed, 0, 0, 0),
         args.k,
         args.d,
         args.sigma2,
         args.variance_regime,
-        "dirichlet" if args.gamma else "uniform",
         args.gamma,
     )
     data = sample_mixture(truth, args.n, _task_rng(args.seed, 0, 0, 1))
@@ -191,8 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma2", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--variance-regime", choices=("i", "ii", "iii", "iv"), default="i")
-    p.add_argument("--gamma", type=float, default=None, help="Dirichlet weight scale")
+    p.add_argument("--variance-regime", choices=tuple(VARIANCE_REGIMES), default="i")
+    p.add_argument("--gamma", type=float, default=None, help="Dirichlet weight scale (default: uniform weights)")
     p.add_argument("--out-data", required=True)
     p.add_argument("--out-params", required=True)
     p.set_defaults(func=_cmd_simulate)

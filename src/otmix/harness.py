@@ -23,7 +23,7 @@ import json
 import numbers
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,9 +40,15 @@ from .metrics import (
     select_k,
 )
 from .mixtures import MixtureParams, VarianceSpec, sample_mixture
-from .sinkhorn import SinkhornConfig, SinkhornNonConvergence
+from .sinkhorn import SinkhornNonConvergence
 
-VARIANCE_REGIMES = ("i", "ii", "iii", "iv")
+# regime: (variance kind of the truth, whether the fits estimate the variances)
+VARIANCE_REGIMES = {
+    "i": ("shared", False),
+    "ii": ("diagonal", False),
+    "iii": ("shared", True),
+    "iv": ("diagonal", True),
+}
 METHODS = ("kmeans", "em", "sem")
 
 RESULT_COLUMNS = [
@@ -68,12 +74,15 @@ RESULT_COLUMNS = [
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One synthetic sweep: a grid of cells, replication counts, and methods."""
+    """One synthetic sweep: a grid of cells, replication counts, and methods.
 
-    ks: tuple
-    ds: tuple
-    sigma2s: tuple
-    ns: tuple
+    Every fit runs at the protocol defaults of `FitConfig`.
+    """
+
+    ks: tuple = ()
+    ds: tuple = ()
+    sigma2s: tuple = ()
+    ns: tuple = ()
     variance_regimes: tuple = ("i",)
     weight_regime: str = "uniform"
     dirichlet_gamma: float | None = None
@@ -82,20 +91,24 @@ class ExperimentSpec:
     methods: tuple = METHODS
     selection: str = "per-seed"
     master_seed: int = 0
-    max_outer_iterations: int = FitConfig.max_outer_iterations
-    param_change_tolerance: float = FitConfig.param_change_tolerance
-    sinkhorn_tolerance: float = SinkhornConfig.tolerance
-    sinkhorn_max_iterations: int = SinkhornConfig.max_iterations
 
     def __post_init__(self):
-        for name in ("ks", "ds", "sigma2s", "ns", "variance_regimes", "methods"):
+        for name in _TUPLE_FIELDS:
             object.__setattr__(self, name, tuple(getattr(self, name)))
         # messages name the config-file keys, which are also the result columns
+        for key, name in CONFIG_KEYS.items():
+            if name in _TUPLE_FIELDS and not getattr(self, name):
+                raise ValueError(f"{key} must list at least one value")
         integers = {"K": self.ks, "d": self.ds, "N": self.ns, "n_replicates": [self.n_replicates],
-                    "n_seeds": [self.n_seeds], "max_outer_iterations": [self.max_outer_iterations],
-                    "sinkhorn_max_iterations": [self.sinkhorn_max_iterations]}
-        reals = {"sigma2": self.sigma2s, "param_change_tolerance": [self.param_change_tolerance],
-                 "sinkhorn_tolerance": [self.sinkhorn_tolerance]}
+                    "n_seeds": [self.n_seeds]}
+        reals = {"sigma2": self.sigma2s}
+        if self.weight_regime not in ("uniform", "dirichlet"):
+            raise ValueError("weight_regime must be 'uniform' or 'dirichlet'")
+        if self.weight_regime == "dirichlet":
+            reals["dirichlet_gamma"] = [self.dirichlet_gamma]
+        elif self.dirichlet_gamma is not None:
+            raise ValueError(f"dirichlet_gamma goes only with weight_regime 'dirichlet', "
+                             f"got {self.dirichlet_gamma!r}")
         for kind, what, table in ((numbers.Integral, "integer", integers),
                                   (numbers.Real, "number", reals)):
             for key, values in table.items():
@@ -105,35 +118,24 @@ class ExperimentSpec:
         if not (isinstance(self.master_seed, numbers.Integral) and self.master_seed >= 0):
             raise ValueError(f"master_seed must be a non-negative integer, got {self.master_seed!r}")
         if not all(r in VARIANCE_REGIMES for r in self.variance_regimes):
-            raise ValueError(f"variance regimes must be among {VARIANCE_REGIMES}")
+            raise ValueError(f"variance_regime must be among {tuple(VARIANCE_REGIMES)}")
         if not all(m in METHODS for m in self.methods):
             raise ValueError(f"methods must be among {METHODS}")
-        if self.weight_regime not in ("uniform", "dirichlet"):
-            raise ValueError("weight_regime must be 'uniform' or 'dirichlet'")
-        gamma = self.dirichlet_gamma
-        if self.weight_regime == "dirichlet" and not (isinstance(gamma, numbers.Real) and gamma > 0):
-            raise ValueError(f"dirichlet weight regime needs dirichlet_gamma > 0, got {gamma!r}")
         if self.selection not in ("per-seed", "best-of-seeds"):
             raise ValueError("selection must be 'per-seed' or 'best-of-seeds'")
-        if not (self.ks and self.ds and self.sigma2s and self.ns and self.variance_regimes):
-            raise ValueError("every grid axis must be non-empty")
 
     def cells(self) -> list[tuple]:
         return list(
             itertools.product(self.ks, self.ds, self.sigma2s, self.ns, self.variance_regimes)
         )
 
-    def fit_config(self, update_variances: bool, update_weights: bool) -> FitConfig:
-        return FitConfig(
-            max_outer_iterations=self.max_outer_iterations,
-            param_change_tolerance=self.param_change_tolerance,
-            sinkhorn=SinkhornConfig(
-                tolerance=self.sinkhorn_tolerance,
-                max_iterations=self.sinkhorn_max_iterations,
-            ),
-            update_variances=update_variances,
-            update_weights=update_weights,
-        )
+
+_TUPLE_FIELDS = tuple(f.name for f in fields(ExperimentSpec) if f.type == "tuple")
+# config keys that differ from the field they set; every other key is its field's name
+CONFIG_KEYS = {"K": "ks", "d": "ds", "sigma2": "sigma2s", "N": "ns",
+               "variance_regime": "variance_regimes"}
+CONFIG_KEYS.update((f.name, f.name) for f in fields(ExperimentSpec)
+                   if f.name not in CONFIG_KEYS.values())
 
 
 def parse_config_value(raw: str):
@@ -157,25 +159,6 @@ def load_config(path) -> dict:
         out[key.strip()] = parse_config_value(raw)
     return out
 
-CONFIG_KEYS = {
-    "K": "ks",
-    "d": "ds",
-    "sigma2": "sigma2s",
-    "N": "ns",
-    "variance_regime": "variance_regimes",
-    "weight_regime": "weight_regime",
-    "dirichlet_gamma": "dirichlet_gamma",
-    "n_replicates": "n_replicates",
-    "n_seeds": "n_seeds",
-    "methods": "methods",
-    "selection": "selection",
-    "master_seed": "master_seed",
-    "max_outer_iterations": "max_outer_iterations",
-    "param_change_tolerance": "param_change_tolerance",
-    "sinkhorn_tolerance": "sinkhorn_tolerance",
-    "sinkhorn_max_iterations": "sinkhorn_max_iterations",
-}
-
 
 def spec_from_config(path) -> ExperimentSpec:
     raw = load_config(path)
@@ -184,7 +167,7 @@ def spec_from_config(path) -> ExperimentSpec:
         if key not in CONFIG_KEYS:
             raise ValueError(f"{path}: unknown config key {key!r}")
         name = CONFIG_KEYS[key]
-        if name in ("ks", "ds", "sigma2s", "ns", "variance_regimes", "methods"):
+        if name in _TUPLE_FIELDS:
             value = value if isinstance(value, list) else [value]
         kwargs[name] = value
     try:
@@ -197,29 +180,18 @@ def _task_rng(master_seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((master_seed, *path)))
 
 
-def _sample_truth(rng, k, d, sigma2, regime, weight_regime, gamma) -> MixtureParams:
+def _sample_truth(rng, k, d, sigma2, regime, gamma) -> MixtureParams:
+    """Truth of one cell: Dirichlet(gamma / K) weights, or uniform ones when gamma is None."""
     locations = rng.uniform(-1.0, 1.0, size=(k, d))
-    if regime in ("i", "iii"):
-        spec = VarianceSpec.shared(sigma2)
-    else:
-        spec = VarianceSpec.diagonal(rng.uniform(0.5 * sigma2, 1.5 * sigma2, size=(k, d)))
-    if weight_regime == "dirichlet":
-        weights = rng.dirichlet(np.full(k, gamma / k))
-        weights = np.maximum(weights, 1e-8)
+    kind, _ = VARIANCE_REGIMES[regime]
+    values = sigma2
+    if kind != "shared":
+        values = rng.uniform(0.5 * sigma2, 1.5 * sigma2, size=VarianceSpec.value_shape(kind, k, d))
+    weights = np.full(k, 1.0 / k)
+    if gamma is not None:
+        weights = np.maximum(rng.dirichlet(np.full(k, gamma / k)), 1e-8)
         weights = weights / weights.sum()
-    else:
-        weights = np.full(k, 1.0 / k)
-    return MixtureParams(locations, spec, weights)
-
-
-def _init_variance_spec(regime: str, truth: MixtureParams) -> VarianceSpec:
-    if regime == "i":
-        return VarianceSpec.shared(float(truth.variances.values), fixed=True)
-    if regime == "ii":
-        return VarianceSpec.diagonal(truth.variances.values, fixed=True)
-    if regime == "iii":
-        return VarianceSpec.shared(1.0, fixed=False)
-    return VarianceSpec.diagonal(np.ones_like(truth.variances.values), fixed=False)
+    return MixtureParams(locations, VarianceSpec(kind, values), weights)
 
 
 def _init_hash(params: MixtureParams) -> str:
@@ -243,20 +215,20 @@ def write_rows_csv(path, rows: list[dict], columns: list[str]) -> None:
             fh.write(",".join(_format_value(row.get(c)) for c in columns) + "\n")
 
 
-def _run_one_method(method, data, init, spec: ExperimentSpec, regime):
+def _run_one_method(method, data, init, infer_weights: bool):
     """Fit one method from a shared init; returns (params, labels, report-ish).
 
+    The fit estimates the variances exactly when the init's are not fixed.
     elapsed is the wall time of the fit call alone; a fit's selection value is
     its report's final ell, and k-means' is its inertia.
     """
-    update_vars = regime in ("iii", "iv")
-    infer_weights = spec.weight_regime == "dirichlet"
     t0 = time.perf_counter()
     if method == "kmeans":
-        params, inertia = lloyd_kmeans(data, init, max_iter=spec.max_outer_iterations)
+        params, inertia = lloyd_kmeans(data, init, max_iter=FitConfig.max_outer_iterations)
     else:
         fit = em_fit if method == "em" else sem_fit
-        report = fit(data, init, spec.fit_config(update_vars, infer_weights))
+        cfg = FitConfig(update_variances=not init.variances.fixed, update_weights=infer_weights)
+        report = fit(data, init, cfg)
     elapsed = time.perf_counter() - t0
     if method == "kmeans":
         return params, kmeans_labels(params, data), {
@@ -280,25 +252,28 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, timing: bool = False) -> 
     log-likelihood (inertia for k-means).
     """
     rows = []
-    gamma = spec.dirichlet_gamma if spec.weight_regime == "dirichlet" else None
     for cell_index, (k, d, sigma2, n, regime) in enumerate(spec.cells()):
         for rep in range(spec.n_replicates):
             truth = _sample_truth(
                 _task_rng(spec.master_seed, cell_index, rep, 0),
-                k, d, sigma2, regime, spec.weight_regime, gamma,
+                k, d, sigma2, regime, spec.dirichlet_gamma,
             )
             data = sample_mixture(truth, n, _task_rng(spec.master_seed, cell_index, rep, 1))
+            # a known regime starts from the truth's variances, an estimated one from free ones
+            start = truth.variances
+            if VARIANCE_REGIMES[regime][1]:
+                start = replace(start, values=np.ones_like(start.values), fixed=False)
             per_method_rows = {m: [] for m in spec.methods}
             for s in range(spec.n_seeds):
                 init = kmeanspp_init(data, k, _task_rng(spec.master_seed, cell_index, rep, 2 + s))
-                init = init.with_variances(_init_variance_spec(regime, truth))
+                init = init.with_variances(start)
                 ihash = _init_hash(init)
                 for method in spec.methods:
                     base = {
                         "K": k, "d": d, "sigma2": sigma2, "N": n,
                         "variance_regime": regime,
                         "weight_regime": spec.weight_regime,
-                        "dirichlet_gamma": gamma,
+                        "dirichlet_gamma": spec.dirichlet_gamma,
                         "replicate": rep, "method": method, "seed": s,
                         "init_hash": ihash,
                     }
@@ -306,7 +281,7 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, timing: bool = False) -> 
                         with warnings.catch_warnings():
                             warnings.simplefilter("ignore", SinkhornNonConvergence)
                             params, labels, info = _run_one_method(
-                                method, data, init, spec, regime
+                                method, data, init, spec.weight_regime == "dirichlet"
                             )
                     except EmptyComponentError:
                         base.update({
@@ -434,7 +409,7 @@ def run_selection_sweep(
 ) -> list[dict]:
     """Model selection study: K-hat via BIC over candidate K, for EM and SEM.
 
-    Data are drawn with equal weights and a known shared variance; candidates
+    Data are drawn in variance regime i with equal weights; candidates
     default to K-5 .. K+5 clipped at 1.  Every fit uses the protocol
     defaults of `FitConfig`.  Emits one row per (method, replicate) with the
     selected K and the signed error K_true - K_hat.
@@ -445,17 +420,16 @@ def run_selection_sweep(
     rows = []
     for rep in range(n_replicates):
         truth = _sample_truth(
-            _task_rng(master_seed, 0, rep, 0), k_true, d, sigma2, "i", "uniform", None
+            _task_rng(master_seed, 0, rep, 0), k_true, d, sigma2, "i", None
         )
         data = sample_mixture(truth, n, _task_rng(master_seed, 0, rep, 1))
-        var_spec = VarianceSpec.shared(sigma2, fixed=True)
         for method in ("em", "sem"):
             fitter = em_fit if method == "em" else sem_fit
 
             def fit(dataset, init, seed_index):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", SinkhornNonConvergence)
-                    return fitter(dataset, init.with_variances(var_spec), cfg)
+                    return fitter(dataset, init.with_variances(truth.variances), cfg)
 
             k_hat, _ = select_k(
                 data, candidates, fit, seeds=n_seeds, seed=master_seed + 7919 * rep

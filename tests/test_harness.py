@@ -8,6 +8,7 @@ import pytest
 from otmix import cli
 from otmix.fitting import FitConfig
 from otmix.harness import (
+    CONFIG_KEYS,
     ExperimentSpec,
     RESULT_COLUMNS,
     in_spurious_region,
@@ -63,6 +64,48 @@ BAD_INPUTS = {
         "experiment --config {tmp}/s.cfg --out-dir {tmp}/out",
         "unknown config key 'weight_update_cadence'",
     ),
+    "removed-solver-key": (
+        {"s.cfg": TINY_CONFIG + "sinkhorn_tolerance = 1e-6\n"},
+        "experiment --config {tmp}/s.cfg --out-dir {tmp}/out",
+        "unknown config key 'sinkhorn_tolerance'",
+    ),
+    "gamma-uniform": (
+        {"s.cfg": TINY_CONFIG + "dirichlet_gamma = 3\n"},
+        "experiment --config {tmp}/s.cfg --out-dir {tmp}/out",
+        "dirichlet_gamma goes only with weight_regime 'dirichlet', got 3",
+    ),
+    "gamma-bool": (
+        {"s.cfg": TINY_CONFIG.replace('"uniform"', '"dirichlet"') + "dirichlet_gamma = true\n"},
+        "experiment --config {tmp}/s.cfg --out-dir {tmp}/out",
+        "dirichlet_gamma must be a positive number, got True",
+    ),
+    "methods-empty": (
+        {"s.cfg": TINY_CONFIG.replace('["kmeans", "em", "sem"]', "[]")},
+        "experiment --config {tmp}/s.cfg --out-dir {tmp}/out",
+        "methods must list at least one value",
+    ),
+    "missing-grid-key": (
+        {"s.cfg": TINY_CONFIG.replace("N = [120]", "")},
+        "experiment --config {tmp}/s.cfg --out-dir {tmp}/out",
+        "N must list at least one value",
+    ),
+    "variance-regime": (
+        {"s.cfg": TINY_CONFIG.replace('["i"]', '["v"]')},
+        "experiment --config {tmp}/s.cfg --out-dir {tmp}/out",
+        "variance_regime must be among ('i', 'ii', 'iii', 'iv')",
+    ),
+    "simulate-gamma-zero": (
+        {},
+        "simulate --k 2 --d 1 --sigma2 0.1 --n 10 --gamma 0 "
+        "--out-data {tmp}/d.csv --out-params {tmp}/p.json",
+        "--gamma must be positive, got 0",
+    ),
+    "simulate-gamma-negative": (
+        {},
+        "simulate --k 2 --d 1 --sigma2 0.1 --n 10 --gamma -1 "
+        "--out-data {tmp}/d.csv --out-params {tmp}/p.json",
+        "--gamma must be positive, got -1",
+    ),
     "trials": ({}, "spurious --n 50 --trials 0", "trials must be >= 1"),
     "spurious-n": ({}, "spurious --n 2 --trials 3 --seed 1", "n must be >= 3"),
     "k-zero": (
@@ -105,6 +148,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             spec_from_config(cfg)
 
+    def test_readme_sweep_config_sets_every_key(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("A sweep config is a flat, diffable text file", 1)[1]
+        cfg = tmp_path / "readme.cfg"
+        cfg.write_text(section.split("```", 2)[1])
+        spec_from_config(cfg)
+        assert set(load_config(cfg)) == set(CONFIG_KEYS)
+
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("just a line\n")
@@ -112,8 +163,6 @@ class TestConfig:
             load_config(cfg)
 
     def test_protocol_defaults_come_from_fit_config(self):
-        spec = ExperimentSpec(ks=(3,), ds=(2,), sigma2s=(0.1,), ns=(100,))
-        assert spec.fit_config(False, False) == FitConfig()
         args = cli.build_parser().parse_args(["fit", "--data", "d.csv", "--method", "em", "--k", "2"])
         assert cli._fit_config(args) == FitConfig()
 
@@ -177,6 +226,16 @@ class TestRunExperiment:
         assert {r["method"] for r in timed} == {"kmeans", "em", "sem"}
         assert all(r["wall_ms"] > 0 for r in timed)
         assert all(r["wall_ms"] == 0 for r in run_experiment(tiny_spec))
+
+    def test_every_variance_regime_fits(self):
+        spec = ExperimentSpec(
+            ks=(2,), ds=(2,), sigma2s=(0.05,), ns=(60,), variance_regimes=("i", "ii", "iii", "iv"),
+            n_replicates=1, n_seeds=1, methods=("em", "sem"), master_seed=5,
+        )
+        rows = run_experiment(spec)
+        assert len(rows) == 8
+        assert {r["variance_regime"] for r in rows} == {"i", "ii", "iii", "iv"}
+        assert all(np.isfinite(r["error"]) and np.isfinite(r["bic"]) for r in rows)
 
     def test_scores_are_sane(self, tiny_spec):
         rows = run_experiment(tiny_spec)

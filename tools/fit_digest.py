@@ -19,9 +19,11 @@ only where the outputs agree to the bit.  It covers:
 - the result files of criterion C14 (`run_experiment` and
   `run_selection_sweep` at its spec);
 - a Dirichlet-weight `run_experiment` in variance regimes iii and iv, where
-  Sinkhorn-EM infers the weights;
+  Sinkhorn-EM infers the weights, and a uniform-weight one over regimes ii,
+  iii and iv;
 - a best-of-seeds `run_experiment` (criterion C10's selection by ell);
-- the report file of `otmix fit --method sem`, written through `cli.main`.
+- the report file of `otmix fit --method sem`, and the files of
+  `otmix simulate --variance-regime ii --gamma 3`, written through `cli.main`.
 
 Only the public API and the command line are used.  Runs in well under a
 minute on one core.
@@ -178,6 +180,11 @@ def file_entries(tmp: Path):
                               methods=("em", "sem"), master_seed=7)
         run_experiment(spec, out_dir=tmp / regime)
         yield f"file/dirichlet-{regime}/results.csv", (tmp / regime / "results.csv").read_text()
+    uniform = ExperimentSpec(ks=(3,), ds=(2,), sigma2s=(0.05,), ns=(120,),
+                             variance_regimes=("ii", "iii", "iv"), n_replicates=2, n_seeds=1,
+                             methods=("kmeans", "em", "sem"), master_seed=7)
+    run_experiment(uniform, out_dir=tmp / "uniform")
+    yield "file/uniform-ii-iv/results.csv", (tmp / "uniform" / "results.csv").read_text()
     best = ExperimentSpec(ks=(4,), ds=(2,), sigma2s=(0.05,), ns=(150,), n_replicates=3,
                           n_seeds=3, methods=("kmeans", "em", "sem"), selection="best-of-seeds",
                           master_seed=110)
@@ -189,6 +196,12 @@ def file_entries(tmp: Path):
     cli.main(["fit", "--data", str(data), "--method", "sem", "--k", "3", "--sigma2", "0.05",
               "--seed", "4", "--trace", "--out-report", str(report)])
     yield "file/cli-fit-sem/report.json", report.read_text()
+    data, truth = tmp / "sim-data.csv", tmp / "sim-truth.json"
+    cli.main(["simulate", "--k", "3", "--d", "2", "--sigma2", "0.05", "--n", "150", "--seed", "5",
+              "--variance-regime", "ii", "--gamma", "3", "--out-data", str(data),
+              "--out-params", str(truth)])
+    yield "file/cli-simulate-ii-gamma/data.csv", data.read_text()
+    yield "file/cli-simulate-ii-gamma/truth.json", truth.read_text()
 
 
 def entries():
