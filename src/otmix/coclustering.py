@@ -22,10 +22,9 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.special import xlogy
 
 from .fitting import FitConfig
+from .metrics import _assignment
 from .mixtures import (VARIANCE_FLOOR, _as_float_array, _floored, _make_rng, _row_stochastic,
                        _simplex, responsibility_matrix)
 from .sinkhorn import transport_responsibilities
@@ -195,6 +194,7 @@ def _assignment_cost(stat_mean, stat_sq, mass, means, variances):
 
 def _surrogate_value(cost, log_weights, resp):
     """Variational objective of one phase (to be non-increasing in VEM)."""
+    from scipy.special import xlogy
     fit_term = float(np.sum(resp * cost))
     prior_term = float(np.sum(resp @ log_weights))
     entropy = float(np.sum(xlogy(resp, resp)))
@@ -418,7 +418,7 @@ def block_score(fitted: BlockModel, truth: BlockModel) -> float:
         cost = np.zeros((g, g))
         for gg in range(g):
             cost[gg] = np.sum((aligned - tru_m[:, [gg]]) ** 2, axis=0)
-        rows, cols = linear_sum_assignment(cost)
+        rows, cols = _assignment(cost)
         return float(cost[rows, cols].sum())
 
     if k <= 8:
@@ -427,17 +427,17 @@ def block_score(fitted: BlockModel, truth: BlockModel) -> float:
 
     # sorted means do not depend on the column order
     gap = np.sort(tru_m, axis=1)[:, None, :] - np.sort(fit_m, axis=1)[None, :, :]
-    _, row_perm = linear_sum_assignment((gap**2).sum(axis=2))
+    _, row_perm = _assignment((gap**2).sum(axis=2))
     for _ in range(10):
         aligned_cost = np.zeros((k, k))
         # fix columns by the current row alignment, then re-match rows
         col_cost = np.zeros((g, g))
         for gg in range(g):
             col_cost[gg] = np.sum((fit_m[row_perm] - tru_m[:, [gg]]) ** 2, axis=0)
-        _, col_perm = linear_sum_assignment(col_cost)
+        _, col_perm = _assignment(col_cost)
         for kk in range(k):
             aligned_cost[kk] = np.sum((fit_m[:, col_perm] - tru_m[[kk]]) ** 2, axis=1)
-        _, new_perm = linear_sum_assignment(aligned_cost)
+        _, new_perm = _assignment(aligned_cost)
         if np.array_equal(new_perm, row_perm):
             break
         row_perm = new_perm

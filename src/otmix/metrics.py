@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .mixtures import (
     Dataset,
@@ -135,8 +134,14 @@ def matched_center_error(
         raise ValueError("fitted and true mixtures must share K and d")
     diff = truth.locations[:, None, :] - fitted.locations[None, :, :]
     cost = np.sum(diff**2, axis=2)  # cost[k, j] = ||fitted_j - truth_k||^2
-    rows, cols = linear_sum_assignment(cost)
+    rows, cols = _assignment(cost)
     return float(cost[rows, cols].sum() / truth.n_components), cols
+
+
+def _assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of the minimum-cost assignment; scipy loads on the first call."""
+    from scipy.optimize import linear_sum_assignment
+    return linear_sum_assignment(cost)
 
 
 def adjusted_rand_index(labels_a, labels_b) -> float:

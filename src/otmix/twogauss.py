@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_hermite
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT2 = math.sqrt(2.0)
@@ -35,6 +34,7 @@ SQRT2 = math.sqrt(2.0)
 def _hermite_nodes(order: int):
     # scipy's Golub-Welsch/asymptotic rule stays stable for large orders,
     # unlike the polynomial-evaluation route
+    from scipy.special import roots_hermite
     nodes, weights = roots_hermite(order)
     return nodes, weights / SQRT_PI
 

@@ -106,6 +106,32 @@ BAD_INPUTS = {
         "--out-data {tmp}/d.csv --out-params {tmp}/p.json",
         "--gamma must be positive, got -1",
     ),
+    "simulate-k-zero": (
+        {},
+        "simulate --k 0 --d 1 --sigma2 0.1 --n 10 --out-data {tmp}/d.csv --out-params {tmp}/p.json",
+        "--k must be >= 1, got 0",
+    ),
+    "simulate-k-negative": (
+        {},
+        "simulate --k -1 --d 1 --sigma2 0.1 --n 10 --out-data {tmp}/d.csv --out-params {tmp}/p.json",
+        "--k must be >= 1, got -1",
+    ),
+    "simulate-d-negative": (
+        {},
+        "simulate --k 2 --d -1 --sigma2 0.1 --n 10 --out-data {tmp}/d.csv --out-params {tmp}/p.json",
+        "--d must be >= 1, got -1",
+    ),
+    "simulate-sigma2-negative": (
+        {},
+        "simulate --k 2 --d 1 --sigma2 -1 --n 10 --out-data {tmp}/d.csv --out-params {tmp}/p.json",
+        "--sigma2 must be >= 1e-06, got -1",
+    ),
+    "fit-sigma2-negative": (
+        {"d.csv": "x0,x1\n0.1,0.2\n0.3,0.4\n0.5,0.6\n"},
+        "fit --data {tmp}/d.csv --method em --k 2 --sigma2 -1",
+        "--sigma2 must be >= 1e-06, got -1",
+    ),
+    "select-k-k-true-zero": ({}, "select-k --k-true 0", "--k-true must be >= 1, got 0"),
     "trials": ({}, "spurious --n 50 --trials 0", "trials must be >= 1"),
     "spurious-n": ({}, "spurious --n 2 --trials 3 --seed 1", "n must be >= 3"),
     "k-zero": (

@@ -1,10 +1,14 @@
-"""Source hygiene: no unused imports in the package, no modules in `__all__`,
-and the benchmark's tracer still finds, wraps and restores every function it
-traces."""
+"""Source hygiene: no unused imports in the package, scipy imported only inside
+the functions that use it, no modules in `__all__`, and the benchmark's tracer
+still finds, wraps and restores every function it traces."""
 
 import ast
 import importlib.util
+import json
+import os
+import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 from types import ModuleType
 
@@ -37,6 +41,65 @@ def test_scanner_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def scipy_import_sites(source: str) -> list[tuple[str, bool]]:
+    """(imported scipy name, whether the import sits inside a function body)."""
+    tree = ast.parse(source)
+    nested = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for node in ast.walk(fn) if node is not fn}
+    sites = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names if a.name.split(".")[0] == "scipy"]
+        else:
+            continue
+        sites += [(name, id(node) in nested) for name in names]
+    return sites
+
+
+def test_scanner_sees_scipy_imports():
+    source = ("import scipy.linalg\nimport numpy\n"
+              "def f():\n    from scipy.special import xlogy\n    return xlogy\n")
+    assert scipy_import_sites(source) == [("scipy.linalg", False), ("scipy.special.xlogy", True)]
+
+
+def test_scipy_imported_once_per_name_inside_a_function():
+    # module-level scipy imports cost every process that imports otmix about 0.7 s
+    sites = [site for path in sorted(PACKAGE.glob("*.py"))
+             for site in scipy_import_sites(path.read_text())]
+    assert sites, "the scanner found no scipy import at all"
+    assert [name for name, nested in sites if not nested] == []
+    assert [name for name, count in Counter(name for name, _ in sites).items() if count > 1] == []
+
+
+LAZY_IMPORT_PROBE = """
+import json, sys
+import otmix, otmix.cli
+import numpy as np
+lazy = ("scipy.optimize", "scipy.special")
+after_import = [m for m in lazy if m in sys.modules]
+spec = otmix.VarianceSpec.shared(1.0)
+truth = otmix.MixtureParams(np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]]), spec, np.full(3, 1 / 3))
+fitted = otmix.MixtureParams(truth.locations[[2, 0, 1]] + 0.1, spec, truth.weights)
+value = otmix.center_error(fitted, truth)
+print(json.dumps({"after_import": after_import, "value": value,
+                  "after_score": [m for m in lazy if m in sys.modules]}))
+"""
+
+
+def test_import_loads_no_scipy_until_first_score():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", LAZY_IMPORT_PROBE], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    probe = json.loads(out)
+    assert probe["after_import"] == []
+    assert probe["value"] == pytest.approx(0.02, rel=1e-12)
+    assert "scipy.optimize" in probe["after_score"]
 
 
 def test_all_lists_no_module():
