@@ -29,7 +29,7 @@ from .harness import (
     write_rows_csv,
 )
 from .metrics import kmeans_labels, kmeanspp_init, lloyd_kmeans
-from .mixtures import TIED_AXES, VARIANCE_FLOOR, Dataset, VarianceSpec, sample_mixture
+from .mixtures import TIED_AXES, VARIANCE_FLOOR, Dataset, VarianceSpec, _require_at_least, sample_mixture
 from .sinkhorn import SinkhornConfig, SinkhornNonConvergence
 from .twogauss import (
     TwoGaussModel,
@@ -62,16 +62,8 @@ def _fit_config(args) -> FitConfig:
     )
 
 
-def _require_at_least(args, **bounds) -> None:
-    """Reject a flag below its bound, or NaN, with a message naming the flag."""
-    for name, bound in bounds.items():
-        if not getattr(args, name) >= bound:
-            flag = "--" + name.replace("_", "-")
-            raise ValueError(f"{flag} must be >= {bound:g}, got {getattr(args, name):g}")
-
-
 def _cmd_simulate(args) -> int:
-    _require_at_least(args, k=1, d=1, sigma2=VARIANCE_FLOOR)
+    _require_at_least(k=(args.k, 1), d=(args.d, 1), sigma2=(args.sigma2, VARIANCE_FLOOR))
     if args.gamma is not None and not args.gamma > 0:
         raise ValueError(f"--gamma must be positive, got {args.gamma:g}")
     truth = _sample_truth(
@@ -89,7 +81,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    _require_at_least(args, sigma2=VARIANCE_FLOOR)
+    _require_at_least(sigma2=(args.sigma2, VARIANCE_FLOOR))
     data = Dataset.load_csv(args.data)
     init = kmeanspp_init(data, args.k, _task_rng(args.seed, 0, 0, 2))
     shape = VarianceSpec.value_shape(args.variance_kind, args.k, data.dim)
@@ -139,7 +131,6 @@ def _cmd_spurious(args) -> int:
 
 
 def _cmd_select_k(args) -> int:
-    _require_at_least(args, k_true=1, d=1, sigma2=VARIANCE_FLOOR)
     rows = run_selection_sweep(
         k_true=args.k_true,
         d=args.d,

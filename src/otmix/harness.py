@@ -39,7 +39,7 @@ from .metrics import (
     lloyd_kmeans,
     select_k,
 )
-from .mixtures import MixtureParams, VarianceSpec, sample_mixture
+from .mixtures import VARIANCE_FLOOR, MixtureParams, VarianceSpec, _require_at_least, sample_mixture
 from .sinkhorn import SinkhornNonConvergence
 
 # regime: (variance kind of the truth, whether the fits estimate the variances)
@@ -350,10 +350,7 @@ def run_spurious_demo(
     Reports per-trial errors, whether the fit escaped the spurious region, and
     the balance residual evaluated with each method's own responsibilities.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if n < 3:
-        raise ValueError(f"n must be >= 3, one point per component, got {n}")
+    _require_at_least(trials=(trials, 1), n=(n, 3))  # n: one point per component
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     truth = spurious_truth(D, R, sigma)
@@ -414,6 +411,8 @@ def run_selection_sweep(
     defaults of `FitConfig`.  Emits one row per (method, replicate) with the
     selected K and the signed error K_true - K_hat.
     """
+    _require_at_least(k_true=(k_true, 1), d=(d, 1), n_replicates=(n_replicates, 1),
+                      sigma2=(sigma2, VARIANCE_FLOOR))
     if candidates is None:
         candidates = [k for k in range(k_true - 5, k_true + 6) if k >= 1]
     cfg = FitConfig()

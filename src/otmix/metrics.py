@@ -22,6 +22,7 @@ from .mixtures import (
     VarianceSpec,
     neg_loglik,
     _make_rng,
+    _require_at_least,
     _sq_distances,
 )
 
@@ -54,8 +55,7 @@ def kmeanspp_init(data: Dataset, k: int, seed) -> MixtureParams:
     """
     if k > data.n:
         raise ValueError(f"k={k} exceeds the number of points {data.n}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _require_at_least(k=(k, 1))
     rng = _make_rng(seed)
     pts = data.points
     chosen = [int(rng.integers(data.n))]
@@ -139,8 +139,7 @@ def matched_center_error(
 
 
 def _assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, cols) of the minimum-cost assignment; scipy loads on the first call."""
-    from scipy.optimize import linear_sum_assignment
+    from scipy.optimize import linear_sum_assignment  # loads scipy on the first call only
     return linear_sum_assignment(cost)
 
 
@@ -207,8 +206,7 @@ def select_k(
     k_candidates = list(k_candidates)
     if not k_candidates:
         raise ValueError("k_candidates must be non-empty")
-    if seeds < 1:
-        raise ValueError("seeds must be >= 1")
+    _require_at_least(seeds=(seeds, 1))
     table = []
     best_k = None
     best_bic = np.inf

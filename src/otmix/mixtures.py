@@ -55,6 +55,13 @@ def _floored(x, name: str) -> np.ndarray:
     return v
 
 
+def _require_at_least(**bounds) -> None:
+    """Reject an argument below its bound, or NaN, with a message naming it."""
+    for name, (value, bound) in bounds.items():
+        if not value >= bound:
+            raise ValueError(f"{name} must be >= {bound:g}, got {value:g}")
+
+
 @dataclass(frozen=True)
 class VarianceSpec:
     """Variance regime of a mixture: the one place that knows the variance kinds.
@@ -406,8 +413,7 @@ def sample_mixture(params: MixtureParams, n: int, seed) -> Dataset:
 
     Deterministic for a fixed seed; stores the labels for downstream scoring.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _require_at_least(n=(n, 1))
     rng = _make_rng(seed)
     labels = rng.choice(params.n_components, size=n, p=params.weights)
     std = np.sqrt(params.variance_matrix())  # (K, d)

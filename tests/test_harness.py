@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -109,29 +110,32 @@ BAD_INPUTS = {
     "simulate-k-zero": (
         {},
         "simulate --k 0 --d 1 --sigma2 0.1 --n 10 --out-data {tmp}/d.csv --out-params {tmp}/p.json",
-        "--k must be >= 1, got 0",
+        "k must be >= 1, got 0",
     ),
     "simulate-k-negative": (
         {},
         "simulate --k -1 --d 1 --sigma2 0.1 --n 10 --out-data {tmp}/d.csv --out-params {tmp}/p.json",
-        "--k must be >= 1, got -1",
+        "k must be >= 1, got -1",
     ),
     "simulate-d-negative": (
         {},
         "simulate --k 2 --d -1 --sigma2 0.1 --n 10 --out-data {tmp}/d.csv --out-params {tmp}/p.json",
-        "--d must be >= 1, got -1",
+        "d must be >= 1, got -1",
     ),
     "simulate-sigma2-negative": (
         {},
         "simulate --k 2 --d 1 --sigma2 -1 --n 10 --out-data {tmp}/d.csv --out-params {tmp}/p.json",
-        "--sigma2 must be >= 1e-06, got -1",
+        "sigma2 must be >= 1e-06, got -1",
     ),
     "fit-sigma2-negative": (
         {"d.csv": "x0,x1\n0.1,0.2\n0.3,0.4\n0.5,0.6\n"},
         "fit --data {tmp}/d.csv --method em --k 2 --sigma2 -1",
-        "--sigma2 must be >= 1e-06, got -1",
+        "sigma2 must be >= 1e-06, got -1",
     ),
-    "select-k-k-true-zero": ({}, "select-k --k-true 0", "--k-true must be >= 1, got 0"),
+    "select-k-k-true-zero": ({}, "select-k --k-true 0", "k_true must be >= 1, got 0"),
+    "select-k-replicates-zero": (
+        {}, "select-k --k-true 3 --replicates 0", "n_replicates must be >= 1, got 0"
+    ),
     "trials": ({}, "spurious --n 50 --trials 0", "trials must be >= 1"),
     "spurious-n": ({}, "spurious --n 2 --trials 3 --seed 1", "n must be >= 3"),
     "k-zero": (
@@ -314,6 +318,18 @@ class TestSelectionSweep:
         assert sum(r["K_hat"] == 3 for r in em_rows) >= 1
         assert all(r["K_hat"] in (2, 3, 4) for r in rows)
         assert {r["method"] for r in rows} == {"em", "sem"}
+
+    @pytest.mark.parametrize("bad, expected", [
+        ({"k_true": 0}, "k_true must be >= 1, got 0"),
+        ({"d": 0}, "d must be >= 1, got 0"),
+        ({"n_replicates": 0}, "n_replicates must be >= 1, got 0"),
+        ({"sigma2": -1.0}, "sigma2 must be >= 1e-06, got -1"),
+        ({"sigma2": float("nan")}, "sigma2 must be >= 1e-06, got nan"),
+    ])
+    def test_bad_arguments_rejected_before_any_fit(self, bad, expected):
+        args = dict(k_true=3, d=1, sigma2=0.05, n=80, n_replicates=1) | bad
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            run_selection_sweep(**args)
 
 
 class TestCli:

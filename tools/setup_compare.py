@@ -7,50 +7,40 @@ For each of the workloads sweep, sweep-diag and cocluster, runs
 
     python3 perfbench/run.py --setup-probe --workload W --seed 3
 
-once in each checkout untimed, to warm the file cache, then for 7 rounds in
-both, alternating which checkout goes first.  Each probe is timed from
-process start until it prints its `ready` line, as `setup_s` is in
-`perfbench/run.py`.  `setup_s` follows the machine's speed from minute to
-minute, so only runs made in alternation like this compare two commits.
-Prints one JSON object: per checkout and workload, the quartiles of its
-probe times and the times in round order.
+once in each checkout untimed, to warm the file cache, then for 10 rounds
+in both, alternating which checkout goes first.  Each probe is timed by the
+checkout's own `perfbench/run.py::probe_setup`, the function that measures
+`setup_s`, so the timing rule has one home.  `setup_s` follows the machine's
+speed from minute to minute, so only runs made in alternation like this
+compare two commits.  Prints one JSON object: per checkout and workload, the
+quartiles of its probe times, the times in round order, and in how many
+rounds the change was faster.
 
-The probes run with PYTHONDONTWRITEBYTECODE=1, so nothing is written into
-either checkout; each probe then compiles its checkout's own modules, on
-both sides alike.  Exits non-zero if a probe fails.
+Neither this process nor the probes write bytecode
+(PYTHONDONTWRITEBYTECODE=1), so nothing is written into either checkout;
+each probe then compiles its checkout's own modules, on both sides alike.
+Exits non-zero if a probe fails.
 """
 
+import importlib.util
 import json
 import os
 import statistics
-import subprocess
 import sys
-import time
 from pathlib import Path
 
 WORKLOADS = ("sweep", "sweep-diag", "cocluster")
 SEED = 3
-ROUNDS = 7
-TIMEOUT_S = 300
+ROUNDS = 10
 
 
-def probe(checkout: Path, workload: str, env: dict) -> float:
-    """Seconds from starting a set-up probe in `checkout` until it is ready."""
-    command = [sys.executable, str(checkout / "perfbench" / "run.py"), "--setup-probe",
-               "--workload", workload, "--seed", str(SEED)]
-    t0 = time.perf_counter()
-    with subprocess.Popen(command, cwd=checkout, env=env, stdout=subprocess.PIPE,
-                          text=True) as proc:
-        ready = proc.stdout.readline()
-        elapsed = time.perf_counter() - t0
-        try:
-            code = proc.wait(timeout=TIMEOUT_S)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            raise
-    if code != 0 or ready.strip() != "ready":
-        raise SystemExit(f"{checkout}: set-up probe for {workload} exited with {code}")
-    return elapsed
+def load_probe(checkout: Path, side: str):
+    """`probe_setup` of the checkout's `perfbench/run.py`."""
+    path = checkout / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_run_{side}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.probe_setup
 
 
 def main(argv: list[str]) -> int:
@@ -62,16 +52,18 @@ def main(argv: list[str]) -> int:
         if not (path / "perfbench" / "run.py").is_file():
             print(f"error: {path} has no perfbench/run.py", file=sys.stderr)
             return 2
+    sys.dont_write_bytecode = True
+    os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
+    probes = {side: load_probe(path, side) for side, path in checkouts.items()}
     times = {side: {w: [] for w in WORKLOADS} for side in checkouts}
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     for workload in WORKLOADS:
         print(f"{workload} ...", file=sys.stderr, flush=True)
-        for path in checkouts.values():
-            probe(path, workload, env)
+        for probe in probes.values():
+            probe(workload, SEED, "full")
         for round_ in range(ROUNDS):
             order = list(checkouts) if round_ % 2 == 0 else list(reversed(checkouts))
             for side in order:
-                times[side][workload].append(probe(checkouts[side], workload, env))
+                times[side][workload].append(probes[side](workload, SEED, "full"))
     report = {"seed": SEED, "rounds": ROUNDS, "nproc": len(os.sched_getaffinity(0))}
     for side, path in checkouts.items():
         report[side] = {"path": str(path)}
@@ -79,6 +71,9 @@ def main(argv: list[str]) -> int:
             q1, median, q3 = statistics.quantiles(runs, n=4)
             report[side][workload] = {"q1": round(q1, 4), "median": round(median, 4),
                                       "q3": round(q3, 4), "runs": [round(t, 4) for t in runs]}
+    report["change_faster_rounds"] = {
+        w: sum(c < p for p, c in zip(times["parent"][w], times["change"][w])) for w in WORKLOADS
+    }
     print(json.dumps(report, indent=2))
     return 0
 
