@@ -169,6 +169,8 @@ def _cmd_twogauss(args) -> int:
 
 
 def _cmd_cocluster(args) -> int:
+    if args.sigma2 is not None:
+        _require_at_least(sigma2=(args.sigma2, VARIANCE_FLOOR))
     y = np.loadtxt(args.data, delimiter=",", ndmin=2)
     init = random_block_init(y.shape[0], y.shape[1], args.k, args.g, args.seed)
     cfg = _fit_config(args)

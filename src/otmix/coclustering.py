@@ -4,11 +4,14 @@ Each matrix entry Y_ij is Gaussian around the mean of its (row class, column
 class) block.  The variational fit alternates a row phase and a column phase;
 inside each phase, soft assignments and block parameters are updated until
 the phase stabilizes.  The aggregate statistics Y^w, u^w reduce a phase to a
-weighted K-component problem.  The column phase is the row phase on Y.T, so
-`_phase` names blocks (row class, column class) of the matrix it is given;
-`_vem_generic` turns the column phase's blocks back into that order.  The fit
-runs on Y minus its mean, which is added back to the block means, so that a
-constant offset moves the means and nothing else.
+weighted K-component problem: its log kernel is the mixtures' `_quad_form` on
+those moments, its E-step the mixtures' softmax (`_posterior`) or transport
+solve, and VEM's surrogate comes from that softmax's log partition.  The column
+phase is the row phase on Y.T, so `_phase` names blocks (row class, column
+class) of the matrix it is given; `_vem_generic` turns the column phase's
+blocks back into that order.  The fit runs on Y minus its mean, which is added
+back to the block means, so that a constant offset moves the means and nothing
+else.
 
 Sinkhorn-VEM replaces the soft-assignment updates with entropic-OT plans
 whose column means equal the row (resp. column) class weights; when the
@@ -25,8 +28,8 @@ import numpy as np
 
 from .fitting import FitConfig
 from .metrics import _assignment
-from .mixtures import (VARIANCE_FLOOR, _as_float_array, _floored, _make_rng, _row_stochastic,
-                       _simplex, responsibility_matrix)
+from .mixtures import (VARIANCE_FLOOR, _as_float_array, _floored, _make_rng, _posterior,
+                       _quad_form, _row_stochastic, _simplex)
 from .sinkhorn import transport_responsibilities
 
 INNER_TOLERANCE = 1e-4
@@ -179,28 +182,6 @@ def _initial_parameters(y, z, w):
     return means, variances, pi, rho
 
 
-def _assignment_cost(stat_mean, stat_sq, mass, means, variances):
-    """Half the weighted squared-error term inside the assignment exponential.
-
-    cost[i, k] = 0.5 * sum_g mass_g (log var_kg
-                 + (stat_sq_ig - 2 mu_kg stat_mean_ig + mu_kg^2) / var_kg).
-    """
-    a = mass[None, :] / variances  # (K, G)
-    const = 0.5 * ((mass[None, :] * np.log(variances)).sum(axis=1) + (means**2 * a).sum(axis=1))
-    cross = stat_mean @ (means * a).T  # (N, K)
-    quad = 0.5 * (stat_sq @ a.T)
-    return quad - cross + const[None, :]
-
-
-def _surrogate_value(cost, log_weights, resp):
-    """Variational objective of one phase (to be non-increasing in VEM)."""
-    from scipy.special import xlogy
-    fit_term = float(np.sum(resp * cost))
-    prior_term = float(np.sum(resp @ log_weights))
-    entropy = float(np.sum(xlogy(resp, resp)))
-    return fit_term - prior_term + entropy
-
-
 def _phase(y, opposite, means, variances, weights, cfg: FitConfig, use_transport: bool, omega):
     """Re-fit the classes of the rows of `y` against the fixed soft classes
     `opposite` of its columns: alternate assignments and parameter updates.
@@ -217,26 +198,31 @@ def _phase(y, opposite, means, variances, weights, cfg: FitConfig, use_transport
     opposite_mass = opposite.sum(axis=0)
     _check_block_masses(np.ones(1), opposite_mass)
     y_stat, sq_stat = aggregate_stats(y, opposite)
+
+    # -0.5 sum_g m_g (log v_kg + (S_ig - 2 mu_kg Y_ig + mu_kg^2) / v_kg), m the opposite masses
+    def log_kernel_at(mu, var):
+        return -0.5 * (_quad_form(y_stat, sq_stat, mu, opposite_mass / var)
+                       + np.log(var) @ opposite_mass)
+
     mu, var, wts = means, variances, weights
     surrogate = []
     max_err = 0.0
     prev_change = np.inf
     plateau = 0
-    cost = _assignment_cost(y_stat, sq_stat, opposite_mass, mu, var)
+    log_kernel = log_kernel_at(mu, var)
     for inner in range(1, MAX_INNER_ITERATIONS + 1):
         plain_round = (not use_transport) or (
             cfg.update_weights and inner % WEIGHT_UPDATE_CADENCE == 0
         )
         if plain_round:
-            resp = responsibility_matrix(-cost, wts)
+            resp, lse = _posterior(log_kernel, wts)
         else:
-            solution = transport_responsibilities(-cost, wts, cfg.sinkhorn, omega)
+            solution = transport_responsibilities(log_kernel, wts, cfg.sinkhorn, omega)
             omega = solution.potentials
             resp = solution.responsibilities.matrix
             max_err = max(max_err, solution.marginal_error)
-        if not use_transport:
-            surrogate.append(_surrogate_value(cost, np.log(wts), resp))
 
+        prev_wts = wts
         mass = resp.sum(axis=0)
         _check_block_masses(mass, opposite_mass)
         new_mu = (resp.T @ y_stat) / mass[:, None]
@@ -250,11 +236,15 @@ def _phase(y, opposite, means, variances, weights, cfg: FitConfig, use_transport
             new_wts = mass / resp.shape[0]
             change += float(np.abs(new_wts - wts).sum())
             wts = new_wts
-        # the cost of the updated parameters closes VEM's surrogate step and
-        # drives the next assignment update
-        cost = _assignment_cost(y_stat, sq_stat, opposite_mass, mu, var)
+        # the kernel of the updated parameters drives the next assignment update
+        new_kernel = log_kernel_at(mu, var)
         if not use_transport:
-            surrogate.append(_surrogate_value(cost, np.log(wts), resp))
+            # VEM's objective sum q (-log kernel - log w + log q) is -sum(lse) at the
+            # softmax q; the update moves it by its change in log kernel and weights
+            before = -float(np.sum(lse))
+            surrogate += [before, before - float(np.sum(resp * (new_kernel - log_kernel)))
+                          - float(mass @ (np.log(wts) - np.log(prev_wts)))]
+        log_kernel = new_kernel
         if change < INNER_TOLERANCE:
             break
         # boundary assignments can cycle under forced marginals; once the

@@ -37,6 +37,7 @@ from .mixtures import (
     VARIANCE_FLOOR,
     VarianceSpec,
     _posterior,
+    _require_at_least,
     _weighted_sq_deviation,
     component_log_densities,
     responsibility_matrix,
@@ -73,10 +74,10 @@ class FitConfig:
     update_weights: bool = False
 
     def __post_init__(self):
-        if self.max_outer_iterations < 1:
-            raise ValueError("max_outer_iterations must be >= 1")
-        if self.param_change_tolerance <= 0:
-            raise ValueError("param_change_tolerance must be positive")
+        _require_at_least(max_outer_iterations=(self.max_outer_iterations, 1))
+        if not self.param_change_tolerance > 0:
+            raise ValueError(
+                f"param_change_tolerance must be positive, got {self.param_change_tolerance:g}")
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,15 @@
 
 Components are isotropic or axis-aligned Gaussians: each component k has a
 location (mean) row, a variance given by a :class:`VarianceSpec`, and a
-strictly positive weight.  All density work happens in log space, and one
-max-shifted row normaliser, `_softmax_rows`, gives both E-steps their row
-softmax and both losses their row log-sum-exp, so that far-away points and
-floor-level variances never overflow.  Every row sum of an N-row array is one
-matrix-vector product, `_row_sum`; it serves that normaliser and the one
-row-stochastic check, `_row_stochastic`, of `Responsibilities` and the
-co-clustering assignments.  Every container is an immutable value; the
-functions here are pure.
+strictly positive weight.  One quadratic form, `_quad_form`, serves the log
+kernel, k-means and, on aggregate moments, the co-clustering phase's kernel.
+All density work happens in log space, and one max-shifted row normaliser,
+`_softmax_rows`, gives both E-steps their row softmax and both losses their
+row log-sum-exp, so that far-away points and floor-level variances never
+overflow.  Every row sum of an N-row array is one matrix-vector product,
+`_row_sum`; it serves that normaliser and the one row-stochastic check,
+`_row_stochastic`, of `Responsibilities` and the co-clustering assignments.
+Every container is an immutable value; the functions here are pure.
 """
 
 from __future__ import annotations
@@ -292,16 +293,21 @@ class Responsibilities:
         return self.matrix.mean(axis=0)
 
 
+def _quad_form(y: np.ndarray, y_sq: np.ndarray, c: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """y_sq w^T - 2 y (c w)^T + sum c^2 w, (N, K), without an (N, K, d) array: with y_sq = y * y,
+    sum_j (y_ij - c_kj)^2 w_kj.  Centre y and c first: the terms cancel on large offsets."""
+    out = y_sq @ w.T
+    out -= y @ (2.0 * c * w).T
+    out += np.sum(c * c * w, axis=1)
+    return out
+
+
 def _sq_distances(points: np.ndarray, centers: np.ndarray, inv_var: np.ndarray) -> np.ndarray:
-    """sum_j (y_ij - c_kj)^2 w_kj as an (N, K) matrix, w = inv_var, without an (N, K, d) array:
-    (y^2) w^T - 2 y (c w)^T + sum c^2 w on y and c centred at the data mean ybar, so large
-    offsets do not cancel.  Absolute error ~ eps sum_j ((y_ij-ybar_j)^2 + (c_kj-ybar_j)^2) w_kj."""
+    """sum_j (y_ij - c_kj)^2 w_kj, w = inv_var: `_quad_form` on y and c centred at the data
+    mean ybar; absolute error ~ eps sum_j ((y_ij-ybar_j)^2 + (c_kj-ybar_j)^2) w_kj."""
     centre = points.mean(axis=0)
     y, c = points - centre, centers - centre
-    out = (y * y) @ inv_var.T
-    out -= y @ (2.0 * c * inv_var).T
-    out += np.sum(c * c * inv_var, axis=1)
-    return out
+    return _quad_form(y, y * y, c, inv_var)
 
 
 def component_log_densities(params: MixtureParams, points: np.ndarray) -> np.ndarray:

@@ -27,6 +27,7 @@ from .mixtures import (
     Dataset,
     MixtureParams,
     Responsibilities,
+    _require_at_least,
     _softmax_rows,
     _weighted_sq_deviation,
     component_log_densities,
@@ -58,10 +59,9 @@ class SinkhornConfig:
     max_iterations: int = 1000
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        if not self.tolerance > 0:
+            raise ValueError(f"tolerance must be positive, got {self.tolerance:g}")
+        _require_at_least(max_iterations=(self.max_iterations, 1))
 
 
 def tilt_weights(weights: np.ndarray, potentials: np.ndarray) -> np.ndarray:

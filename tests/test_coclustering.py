@@ -202,6 +202,25 @@ class TestVemFit:
             for a, b in zip(trace, trace[1:]):
                 assert b <= a + 1e-8
 
+    def test_last_surrogate_is_the_objective_at_the_returned_fit(self, rng):
+        # the last entry closes the column phase: its objective over the
+        # column assignments w at the returned parameters, fit term - prior
+        # term + sum w log w, with the fit term from its definition
+        from scipy.special import xlogy
+
+        model = make_model(rng, k=3, g=2, var=1.5)
+        y, _, _ = sample_block_data(model, 30, 25, 6)
+        init = random_block_init(30, 25, 3, 2, 9)
+        cfg = FitConfig(update_variances=True, update_weights=True)
+        fitted, resp, report = vem_fit(y, 3, 2, init, cfg)
+        mu, var = fitted.means, fitted.variances
+        sq_err = (y[:, None, :, None] - mu[None, :, None, :]) ** 2  # (i, k, j, g)
+        cost = 0.5 * np.einsum("ik,ikjg->jg", resp.z, np.log(var)[None, :, None, :]
+                               + sq_err / var[None, :, None, :])
+        objective = (np.sum(resp.w * cost) - np.sum(resp.w @ np.log(fitted.col_weights))
+                     + np.sum(xlogy(resp.w, resp.w)))
+        assert report.inner_surrogates[-1][-1] == pytest.approx(objective, rel=1e-9)
+
 
 class TestSvemFit:
     def test_k1_g1_identical_to_vem(self):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 import warnings
@@ -6,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from otmix import cli
-from otmix.fitting import FitConfig
+from otmix import cli, fitting, harness
+from otmix.fitting import EmptyComponentError, FitConfig
 from otmix.harness import (
     CONFIG_KEYS,
     ExperimentSpec,
@@ -146,7 +147,27 @@ BAD_INPUTS = {
     "sigma2-zero": (
         {"m.csv": "1,2\n3,4\n5,6\n"},
         "cocluster --data {tmp}/m.csv --k 2 --g 2 --sigma2 0 --method svem --out-model {tmp}/m.json",
-        "variances must be >= 1e-06",
+        "sigma2 must be >= 1e-06, got 0",
+    ),
+    "cocluster-sigma2-negative": (
+        {"m.csv": "1,2\n3,4\n5,6\n"},
+        "cocluster --data {tmp}/m.csv --k 2 --g 2 --sigma2 -1 --method vem --out-model {tmp}/m.json",
+        "sigma2 must be >= 1e-06, got -1",
+    ),
+    "cocluster-tol-nan": (
+        {"m.csv": "1,2\n3,4\n5,6\n"},
+        "cocluster --data {tmp}/m.csv --k 2 --g 2 --tol nan --method vem --out-model {tmp}/m.json",
+        "param_change_tolerance must be positive, got nan",
+    ),
+    "fit-tol-nan": (
+        {"d.csv": "x0,x1\n0.1,0.2\n0.3,0.4\n0.5,0.6\n"},
+        "fit --data {tmp}/d.csv --method sem --k 2 --tol nan",
+        "param_change_tolerance must be positive, got nan",
+    ),
+    "fit-sinkhorn-tol-nan": (
+        {"d.csv": "x0,x1\n0.1,0.2\n0.3,0.4\n0.5,0.6\n"},
+        "fit --data {tmp}/d.csv --method sem --k 2 --sinkhorn-tol nan",
+        "tolerance must be positive, got nan",
     ),
     "headerless": (
         {"d.csv": "0.1,0.2\n0.3,0.4\n0.5,0.6\n"},
@@ -266,6 +287,30 @@ class TestRunExperiment:
         assert len(rows) == 8
         assert {r["variance_regime"] for r in rows} == {"i", "ii", "iii", "iv"}
         assert all(np.isfinite(r["error"]) and np.isfinite(r["bic"]) for r in rows)
+
+    @pytest.mark.parametrize("selection", ["per-seed", "best-of-seeds"])
+    def test_failed_fit_is_a_row_and_never_the_best_seed(self, selection, monkeypatch):
+        # the first of each replicate's two EM fits hits an empty component
+        fails = itertools.cycle([True, False])
+
+        def em_fit(data, init, cfg):
+            if next(fails):
+                raise EmptyComponentError(0, 0.0)
+            return fitting.em_fit(data, init, cfg)
+
+        monkeypatch.setattr(harness, "em_fit", em_fit)
+        spec = ExperimentSpec(
+            ks=(2,), ds=(1,), sigma2s=(0.05,), ns=(60,), n_replicates=2, n_seeds=2,
+            methods=("em",), master_seed=1, selection=selection,
+        )
+        rows = run_experiment(spec)
+        failed = [r for r in rows if r["seed"] == 0]
+        fitted = [r for r in rows if r["seed"] == 1]
+        assert len(fitted) == 2 and all(np.isfinite(r["error"]) for r in fitted)
+        assert len(failed) == (2 if selection == "per-seed" else 0)
+        for r in failed:
+            assert r["converged"] is False
+            assert [r[c] for c in ("error", "ari", "bic", "iterations")] == [None] * 4
 
     def test_scores_are_sane(self, tiny_spec):
         rows = run_experiment(tiny_spec)

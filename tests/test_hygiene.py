@@ -85,8 +85,11 @@ after_import = [m for m in lazy if m in sys.modules]
 spec = otmix.VarianceSpec.shared(1.0)
 truth = otmix.MixtureParams(np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]]), spec, np.full(3, 1 / 3))
 fitted = otmix.MixtureParams(truth.locations[[2, 0, 1]] + 0.1, spec, truth.weights)
+y = np.arange(24.0).reshape(6, 4) % 5
+otmix.vem_fit(y, 2, 2, otmix.random_block_init(6, 4, 2, 2, 0), otmix.FitConfig())
+after_vem = [m for m in sys.modules if m.split(".")[0] == "scipy"]
 value = otmix.center_error(fitted, truth)
-print(json.dumps({"after_import": after_import, "value": value,
+print(json.dumps({"after_import": after_import, "after_vem": after_vem, "value": value,
                   "after_score": [m for m in lazy if m in sys.modules]}))
 """
 
@@ -98,6 +101,7 @@ def test_import_loads_no_scipy_until_first_score():
                          capture_output=True, text=True, timeout=120).stdout
     probe = json.loads(out)
     assert probe["after_import"] == []
+    assert probe["after_vem"] == []
     assert probe["value"] == pytest.approx(0.02, rel=1e-12)
     assert "scipy.optimize" in probe["after_score"]
 

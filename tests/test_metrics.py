@@ -26,6 +26,7 @@ from otmix import (
     sinkhorn_estep,
     SinkhornConfig,
 )
+from otmix.metrics import kmeans_labels
 from conftest import random_instance
 
 
@@ -136,6 +137,16 @@ class TestLloyd:
         init = kmeanspp_init(data, 4, 2)
         inertias = [lloyd_kmeans(data, init, max_iter=t)[1] for t in range(1, 8)]
         assert all(b <= a + 1e-12 for a, b in zip(inertias, inertias[1:]))
+
+    def test_emptied_cluster_is_reseeded(self):
+        # the second of two identical centres loses every tie, so its cluster
+        # starts empty and is re-seeded at the farthest point
+        data = Dataset(np.array([[0.0], [1.0], [5.0], [6.0], [20.0], [21.0]]))
+        init = scalar_params([0.0, 0.0, 20.0])
+        params, inertia = lloyd_kmeans(data, init)
+        assert np.array_equal(np.bincount(kmeans_labels(params, data), minlength=3), [2, 2, 2])
+        assert inertia <= lloyd_kmeans(data, init, max_iter=0)[1]
+        assert inertia == pytest.approx(1.5, abs=1e-12)
 
 
 class TestCenterError:
