@@ -51,15 +51,20 @@ def _add_fit_config_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _fit_config(args) -> FitConfig:
-    return FitConfig(
-        max_outer_iterations=args.max_iter,
-        param_change_tolerance=args.tol,
-        sinkhorn=SinkhornConfig(
-            tolerance=args.sinkhorn_tol, max_iterations=args.sinkhorn_max_iter
-        ),
-        update_variances=args.update_variances,
-        update_weights=args.update_weights,
-    )
+    try:
+        return FitConfig(
+            max_outer_iterations=args.max_iter,
+            param_change_tolerance=args.tol,
+            sinkhorn=SinkhornConfig(
+                tolerance=args.sinkhorn_tol, max_iterations=args.sinkhorn_max_iter
+            ),
+            update_variances=args.update_variances,
+            update_weights=args.update_weights,
+        )
+    except ValueError as exc:  # the message starts with a field: name its flag
+        flag = {"max_outer_iterations": "--max-iter", "param_change_tolerance": "--tol",
+                "tolerance": "--sinkhorn-tol", "max_iterations": "--sinkhorn-max-iter"}
+        raise ValueError(f"{flag[str(exc).split()[0]]}: {exc}") from None
 
 
 def _cmd_simulate(args) -> int:

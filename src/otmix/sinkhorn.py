@@ -1,4 +1,4 @@
-"""Entropic-OT E-step: log-domain Sinkhorn between mixture atoms and data.
+"""Entropic-OT E-step: stabilised Sinkhorn between mixture atoms and data.
 
 The transport problem couples the atomic measure on the K components
 (masses alpha_k) with the uniform empirical measure on the N data points
@@ -10,9 +10,10 @@ responsibilities under the tilted weights
     alpha_k(omega) = alpha_k exp(omega_k) / sum_k' alpha_k' exp(omega_k'),
 
 and the potentials solve the column-marginal equation
-mean_i Psi_ik(omega) = alpha_k.  The solver iterates that fixed point in
-log space, which is the classical Sinkhorn scaling with the data-side
-potential eliminated; cost entries beyond +-700 are harmless.
+mean_i Psi_ik(omega) = alpha_k by Sinkhorn scaling with the data-side potential
+eliminated.  An absorption pass builds the plan P at omega0 in log space, so
+cost entries beyond +-700 are harmless; later scaling steps take the column
+means s (P^T 1/(P s)) / N, s = e^{omega - omega0}, until omega strays ABSORB_BOUND.
 """
 
 from __future__ import annotations
@@ -45,6 +46,10 @@ TAIL_RATIO_LOW = 0.8
 TAIL_RATIO_HIGH = 0.9999
 TAIL_MAX_JUMP = 2000.0
 MARGINAL_FLOOR = 1e-300
+# Scaling steps reuse the plan absorbed at omega0 while |omega - omega0| <= ABSORB_BOUND:
+# an entry that underflowed (below e^-708 in a row whose largest entry is >= 1/K)
+# then carries relative mass below K e^{-(708 - 2 ABSORB_BOUND)}.
+ABSORB_BOUND = 50.0
 
 
 class SinkhornNonConvergence(UserWarning):
@@ -112,16 +117,26 @@ def transport_responsibilities(
     converged = False
     iterations = 0
     buf = np.empty_like(log_kernel)
+    absorbed = np.full(k, np.inf)  # the potentials of the plan in buf; none yet
     prev_update = None
     prev_error = np.inf
     boosted = False
     prev_omega = omega
     for iterations in range(1, cfg.max_iterations + 1):
         plan_omega = omega  # the point of this pass's plan, and of the solution
-        np.add(log_kernel, (log_w + omega)[None, :], out=buf)
-        row_max, row_sum = _softmax_rows(buf)
-        buf /= row_sum[:, None]
-        marginal = np.add.reduce(buf, axis=0) / n
+        step = omega - absorbed
+        if not np.abs(step).max() <= ABSORB_BOUND:
+            # absorption pass: the normalised plan at omega, in log space
+            np.add(log_kernel, (log_w + omega)[None, :], out=buf)
+            row_max, row_sum = _softmax_rows(buf)
+            buf /= row_sum[:, None]
+            marginal = np.add.reduce(buf, axis=0) / n
+            absorbed, scaling = omega, None
+        else:
+            # scaling step: the plan at omega is buf * scaling / row_scale
+            scaling = np.exp(step)
+            row_scale = buf @ scaling
+            marginal = scaling * (buf.T @ (1.0 / row_scale)) / n
         error = float(np.abs(marginal - weights).max())
         if error <= cfg.tolerance:
             converged = True
@@ -153,6 +168,11 @@ def transport_responsibilities(
         omega = omega - shift
         prev_omega = prev_omega - shift
 
+    if scaling is not None:  # the last pass was a scaling step: build its plan
+        buf *= scaling / row_scale[:, None]
+        row_sum = row_sum * row_scale
+        error = float(np.abs(np.add.reduce(buf, axis=0) / n - weights).max())
+        converged = error <= cfg.tolerance
     if not converged:
         warnings.warn(
             f"Sinkhorn did not reach tolerance {cfg.tolerance:g} in "

@@ -169,6 +169,38 @@ BAD_INPUTS = {
         "fit --data {tmp}/d.csv --method sem --k 2 --sinkhorn-tol nan",
         "tolerance must be positive, got nan",
     ),
+    "fit-tol-zero": (
+        {"d.csv": "x0,x1\n0.1,0.2\n0.3,0.4\n0.5,0.6\n"},
+        "fit --data {tmp}/d.csv --method sem --k 2 --tol 0",
+        "error: --tol: param_change_tolerance must be positive, got 0",
+    ),
+    "fit-max-iter-zero": (
+        {"d.csv": "x0,x1\n0.1,0.2\n0.3,0.4\n0.5,0.6\n"},
+        "fit --data {tmp}/d.csv --method em --k 2 --max-iter 0",
+        "error: --max-iter: max_outer_iterations must be >= 1, got 0",
+    ),
+    "fit-sinkhorn-max-iter-zero": (
+        {"d.csv": "x0,x1\n0.1,0.2\n0.3,0.4\n0.5,0.6\n"},
+        "fit --data {tmp}/d.csv --method sem --k 2 --sinkhorn-max-iter 0",
+        "error: --sinkhorn-max-iter: max_iterations must be >= 1, got 0",
+    ),
+    "cocluster-max-iter-zero": (
+        {"m.csv": "1,2\n3,4\n5,6\n"},
+        "cocluster --data {tmp}/m.csv --k 2 --g 2 --max-iter 0 --method vem --out-model {tmp}/m.json",
+        "error: --max-iter: max_outer_iterations must be >= 1, got 0",
+    ),
+    "cocluster-sinkhorn-max-iter-zero": (
+        {"m.csv": "1,2\n3,4\n5,6\n"},
+        "cocluster --data {tmp}/m.csv --k 2 --g 2 --sinkhorn-max-iter 0 --method svem "
+        "--out-model {tmp}/m.json",
+        "error: --sinkhorn-max-iter: max_iterations must be >= 1, got 0",
+    ),
+    "cocluster-sinkhorn-tol-nan": (
+        {"m.csv": "1,2\n3,4\n5,6\n"},
+        "cocluster --data {tmp}/m.csv --k 2 --g 2 --sinkhorn-tol nan --method svem "
+        "--out-model {tmp}/m.json",
+        "error: --sinkhorn-tol: tolerance must be positive, got nan",
+    ),
     "headerless": (
         {"d.csv": "0.1,0.2\n0.3,0.4\n0.5,0.6\n"},
         "fit --data {tmp}/d.csv --method em --k 2",

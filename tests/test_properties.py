@@ -22,6 +22,7 @@ from unittest.mock import patch
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from scipy.special import logsumexp
 
 from otmix import (
     BlockModel,
@@ -183,6 +184,39 @@ def test_plan_on_extreme_kernels(n, k, seed, tolerance):
     assert np.max(np.abs(plan.matrix.sum(axis=1) - 1.0)) <= 1e-10
     if solution.converged:
         assert np.max(np.abs(plan.column_means() - weights)) <= tolerance
+
+
+@PROPERTY_SETTINGS
+@given(
+    n=st.integers(2, 40),
+    k=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1.0, 30.0, 1e3, 1e4]),
+    tolerance=st.sampled_from([1e-3, 1e-8]),
+)
+def test_scaling_steps_keep_the_log_domain_plan(n, k, seed, scale, tolerance):
+    # entries down to -1e4 saturate the rows, and weights in the reverse order
+    # of the kernel's own column shares make the potentials travel thousands,
+    # many absorption bounds; capped or not, the solution is the log-domain
+    # plan at its potentials
+    rng = np.random.default_rng(seed)
+    log_kernel = -scale * rng.uniform(0.0, 1.0, size=(n, k))
+    shares = np.exp(log_kernel - logsumexp(log_kernel, axis=1, keepdims=True)).mean(axis=0)
+    weights = np.empty(k)
+    weights[np.argsort(shares)] = np.sort(rng.dirichlet(np.ones(k)))[::-1]
+    cfg = SinkhornConfig(tolerance=tolerance, max_iterations=2000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SinkhornNonConvergence)
+        solution = transport_responsibilities(log_kernel, weights, cfg)
+    plan = solution.responsibilities.matrix
+    assert np.all(np.isfinite(plan))
+    logits = log_kernel + np.log(weights) + solution.potentials
+    lse = logsumexp(logits, axis=1)
+    assert np.max(np.abs(plan - np.exp(logits - lse[:, None]))) <= 1e-12
+    error = np.max(np.abs(plan.mean(axis=0) - weights))
+    assert abs(solution.marginal_error - error) <= 1e-15
+    assert np.allclose(solution.log_partition, lse, rtol=1e-15, atol=1e-12)
+    assert solution.converged == (solution.marginal_error <= tolerance)
 
 
 @PROPERTY_SETTINGS

@@ -144,6 +144,25 @@ class TestSinkhornEstep:
         assert sol.marginal_error == pytest.approx(error, rel=0, abs=1e-12)
         assert np.max(np.abs(sol.log_partition - lse)) <= 1e-12
 
+    def test_first_pass_solve_is_one_log_domain_pass(self):
+        # a solve that converges on its first pass returns that pass's bits:
+        # the plan, log partition and error of one log-space softmax
+        rng = np.random.default_rng(11)
+        log_kernel = rng.normal(scale=3.0, size=(300, 4))
+        weights = rng.dirichlet(np.ones(4))
+        omega = transport_responsibilities(log_kernel, weights, TIGHT).potentials
+        sol = transport_responsibilities(log_kernel, weights, SinkhornConfig(), omega)
+        assert sol.converged and sol.iterations == 1
+        logits = log_kernel + (np.log(weights) + omega)[None, :]
+        row_max = logits.max(axis=1)
+        shifted = np.exp(logits - row_max[:, None])
+        row_sum = shifted @ np.ones(4)
+        plan = shifted / row_sum[:, None]
+        assert np.array_equal(sol.potentials, omega)
+        assert np.array_equal(sol.responsibilities.matrix, plan)
+        assert np.array_equal(sol.log_partition, row_max + np.log(row_sum))
+        assert sol.marginal_error == np.abs(np.add.reduce(plan, axis=0) / 300 - weights).max()
+
     def test_potentials_flat_at_truth_for_large_n(self):
         # population limit: at the true parameters of an overlapping mixture
         # the potentials shrink with N, so tilting by them leaves the weights

@@ -11,7 +11,12 @@ runs two sets of fits.
   the shared variance known and once with diagonal variances estimated, and a
   small-K, tall cell (K=3, N=2000) with the shared variance known, whose
   short, many rows take other paths through the row reductions.  That is 48
-  fits from k-means++ starts, at the `FitConfig` defaults.
+  fits from k-means++ starts, at the `FitConfig` defaults.  A fourth, cold
+  cell has C9's geometry (D=3, R=9, sigma=1, so K=3) at N=2000: 4 seeds of
+  EM and Sinkhorn-EM from C9's many-fit-one start, at C9's tolerance 1e-4
+  and 300 outer iterations.  Its cold, near-saturated Sinkhorn solves run up
+  to 800 iterations and re-absorb their plan up to 71 times, where the other
+  cells' warm solves take a few iterations.  That makes 56 mixture fits.
 - *Co-clustering cell:* VEM and Sinkhorn-VEM on 40 latent block models
   (20-60 x 20-60, K and G in 2..4, the property tests' recipe) from random
   hard starts, each with known or estimated variances and known or inferred
@@ -42,18 +47,17 @@ SEEDS = range(8)
 D, SIGMA2 = 2, 0.1
 # (K, N, variance regime) per cell; a cell's index seeds its instances
 CELLS = ((20, 1000, "shared-known"), (20, 1000, "diagonal-estimated"), (3, 2000, "shared-known"))
+SPURIOUS_SEEDS, SPURIOUS_N = range(4), 2000
 BLOCK_INSTANCES = range(40)
 BLOCK_FIELDS = ("means", "variances", "row_weights", "col_weights")
 
 
 def mixture_fits() -> dict:
-    """The 48 mixture fits of the otmix on PYTHONPATH."""
-    import warnings
-
+    """The 56 mixture fits of the otmix on PYTHONPATH."""
     import numpy as np
 
-    from otmix import (FitConfig, MixtureParams, SinkhornNonConvergence, VarianceSpec, em_fit,
-                       kmeanspp_init, sample_mixture, sem_fit)
+    from otmix import FitConfig, MixtureParams, VarianceSpec, kmeanspp_init, sample_mixture
+    from otmix.harness import spurious_truth
 
     fits = {}
     for seed in SEEDS:
@@ -69,16 +73,33 @@ def mixture_fits() -> dict:
             data = sample_mixture(truth, n, rng)
             init = kmeanspp_init(data, k, rng).with_variances(init_variances)
             cfg = FitConfig(update_variances=regime == "diagonal-estimated")
-            for method, fit in (("em", em_fit), ("sem", sem_fit)):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", SinkhornNonConvergence)
-                    report = fit(data, init, cfg)
-                fits[f"{seed}/K{k}-N{n}-{regime}/{method}"] = {
-                    "iterations": report.iterations,
-                    "trace": [list(pair) for pair in report.loss_trace],
-                    "locations": report.final_params.locations.tolist(),
-                }
+            fit_both(fits, f"{seed}/K{k}-N{n}-{regime}", data, init, cfg)
+    truth = spurious_truth(3.0, 9.0, 1.0)
+    cfg = FitConfig(max_outer_iterations=300, param_change_tolerance=1e-4)
+    for seed in SPURIOUS_SEEDS:
+        rng = np.random.default_rng((seed, len(CELLS) + 1))
+        data = sample_mixture(truth, SPURIOUS_N, rng)
+        start = np.array([[0.0, 0.0], [9.0, 0.0], [9.0, 0.0]]) + rng.uniform(-0.1, 0.1, (3, 2))
+        init = MixtureParams(start, truth.variances, truth.weights)
+        fit_both(fits, f"{seed}/K3-N{SPURIOUS_N}-many-fit-one", data, init, cfg)
     return fits
+
+
+def fit_both(fits: dict, name: str, data, init, cfg) -> None:
+    """Record EM's and Sinkhorn-EM's fit of `data` from `init` under `name`."""
+    import warnings
+
+    from otmix import SinkhornNonConvergence, em_fit, sem_fit
+
+    for method, fit in (("em", em_fit), ("sem", sem_fit)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SinkhornNonConvergence)
+            report = fit(data, init, cfg)
+        fits[f"{name}/{method}"] = {
+            "iterations": report.iterations,
+            "trace": [list(pair) for pair in report.loss_trace],
+            "locations": report.final_params.locations.tolist(),
+        }
 
 
 def block_fits() -> dict:
