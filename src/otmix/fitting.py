@@ -226,7 +226,7 @@ def sem_fit(data: Dataset, init: MixtureParams, cfg: FitConfig) -> FitReport:
 
 
 # Cap on the iterations of one weight phase.  Over 4,240 phases (the weight
-# inference fits of tools/fit_digest.py and of C11's replicates 5 and 7) the
+# inference fits of tools/fit_diff.py and of C11's replicates 5 and 7) the
 # median was 2 and the maximum 185.
 MAX_WEIGHT_ITERATIONS = 1000
 

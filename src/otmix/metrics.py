@@ -201,7 +201,8 @@ def select_k(
     FitReport-like object with final_params and loss_trace.  The best seed per
     candidate is chosen by in-sample negative log-likelihood, the ell of the
     fit's last trace pair; the BIC counts no weight parameters.  Candidates
-    whose every fit raises are skipped and flagged.
+    whose every fit raises a RuntimeError (the base of EmptyComponentError) are
+    skipped and flagged; any other exception propagates.
     """
     k_candidates = list(k_candidates)
     if not k_candidates:
@@ -218,7 +219,7 @@ def select_k(
             init = kmeanspp_init(data, k, np.random.SeedSequence((seed, ci, s)))
             try:
                 report = fit(data, init, s)
-            except Exception:
+            except RuntimeError:
                 continue
             ell = report.loss_trace[-1][0]
             if ell < best_ell:

@@ -152,17 +152,15 @@ def transport_responsibilities(
         prev_omega = omega + update
         omega = prev_omega
         boosted = False
-        if prev_update is not None:
+        nu = math.sqrt(update.dot(update))
+        if prev_update is not None and nu > 0 and prev_norm > 0:
             # jump the geometric tail (see TAIL_COSINE)
-            nu = math.sqrt(update.dot(update))
-            np_prev = math.sqrt(prev_update.dot(prev_update))
-            if nu > 0 and np_prev > 0:
-                cos = float(np.dot(update, prev_update)) / (nu * np_prev)
-                ratio = nu / np_prev
-                if cos > TAIL_COSINE and TAIL_RATIO_LOW < ratio < TAIL_RATIO_HIGH:
-                    omega = omega + min(ratio / (1.0 - ratio), TAIL_MAX_JUMP) * update
-                    boosted = True
-        prev_update = update
+            cos = float(np.dot(update, prev_update)) / (nu * prev_norm)
+            ratio = nu / prev_norm
+            if cos > TAIL_COSINE and TAIL_RATIO_LOW < ratio < TAIL_RATIO_HIGH:
+                omega = omega + min(ratio / (1.0 - ratio), TAIL_MAX_JUMP) * update
+                boosted = True
+        prev_update, prev_norm = update, nu
         # the potentials are defined up to a constant: pin omega_K = 0
         shift = omega[-1]
         omega = omega - shift

@@ -21,7 +21,6 @@ from otmix import (
     sample_mixture,
     sem_fit,
     sinkhorn_estep,
-    tilt_weights,
 )
 from otmix import fitting
 from otmix.mixtures import component_log_densities, responsibility_matrix
@@ -282,35 +281,6 @@ class TestSemFit:
 
         assert center_error(em_report.final_params, truth) > 1.0
         assert center_error(sem_report.final_params, truth) < 0.5
-
-
-class TestUpdateWeightsEg:
-    """Weights tilted by a multiple of a gradient, as `tilt_weights` computes it."""
-
-    def test_constant_gradient_is_identity(self):
-        alpha = np.array([0.2, 0.3, 0.5])
-        assert np.allclose(tilt_weights(alpha, -0.3 * np.full(3, 4.2)), alpha, atol=1e-15)
-
-    def test_zero_step_is_identity(self):
-        alpha = np.array([0.2, 0.8])
-        assert np.allclose(tilt_weights(alpha, -0.0 * np.array([5.0, -2.0])), alpha, atol=1e-15)
-
-    def test_direct_evaluation(self):
-        alpha = np.array([0.5, 0.5])
-        grad = np.array([math.log(4.0), 0.0])
-        out = tilt_weights(alpha, -1.0 * grad)
-        assert np.allclose(out, [0.2, 0.8], atol=1e-14)
-
-    def test_result_on_open_simplex(self, rng):
-        for _ in range(20):
-            k = int(rng.integers(2, 8))
-            alpha = rng.dirichlet(np.ones(k))
-            alpha = np.maximum(alpha, 1e-9)
-            alpha /= alpha.sum()
-            grad, eta = rng.normal(size=k), float(rng.uniform(0, 2))
-            out = tilt_weights(alpha, -eta * grad)
-            assert np.all(out > 0)
-            assert out.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestCoordinateDescent:

@@ -300,6 +300,15 @@ class TestSelectK:
         flagged = {row["K"]: row["failed"] for row in table}
         assert flagged[3] is True
 
+    def test_other_errors_of_the_fit_propagate(self, rng):
+        _, data = random_instance(rng, k=2, d=1, n=50)
+
+        def fit(d_, init, s):
+            raise TypeError("a bug in the fit")
+
+        with pytest.raises(TypeError, match="a bug in the fit"):
+            select_k(data, [2, 3], fit, seeds=1)
+
 
 class TestManyFitOne:
     def test_direct_evaluation_synthetic(self):

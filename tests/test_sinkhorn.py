@@ -204,13 +204,25 @@ class TestTiltedWeights:
 
     def test_direct_evaluation(self):
         w = np.array([0.5, 0.5])
-        omega = np.array([math.log(3.0), 0.0])
-        assert np.allclose(tilt_weights(w, omega), [0.75, 0.25], atol=1e-14)
+        for omega, expected in (([math.log(3.0), 0.0], [0.75, 0.25]),
+                                ([-math.log(4.0), 0.0], [0.2, 0.8])):
+            assert np.allclose(tilt_weights(w, np.array(omega)), expected, atol=1e-14)
 
     def test_constant_potentials_leave_weights_fixed(self):
         alpha = np.array([0.25, 0.35, 0.4])
         grad = np.full(3, 2.2) - 1.0
         assert np.allclose(tilt_weights(alpha, -0.7 * grad), alpha, atol=1e-15)
+
+    def test_result_on_open_simplex(self, rng):
+        for _ in range(20):
+            k = int(rng.integers(2, 8))
+            alpha = rng.dirichlet(np.ones(k))
+            alpha = np.maximum(alpha, 1e-9)
+            alpha /= alpha.sum()
+            grad, eta = rng.normal(size=k), float(rng.uniform(0, 2))
+            out = tilt_weights(alpha, -eta * grad)
+            assert np.all(out > 0)
+            assert out.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestLossEntropic:
