@@ -21,6 +21,7 @@ from otmix import (
     sample_mixture,
     sem_fit,
     sinkhorn_estep,
+    tilt_weights,
 )
 from otmix import fitting
 from otmix.mixtures import component_log_densities, responsibility_matrix
@@ -281,6 +282,16 @@ class TestSemFit:
 
         assert center_error(em_report.final_params, truth) > 1.0
         assert center_error(sem_report.final_params, truth) < 0.5
+
+
+class TestUpdateWeightsEg:
+    """Weights tilted by a multiple of a gradient, as `tilt_weights` computes it."""
+
+    def test_direct_evaluation(self):
+        alpha = np.array([0.5, 0.5])
+        grad = np.array([math.log(4.0), 0.0])
+        out = tilt_weights(alpha, -1.0 * grad)
+        assert np.allclose(out, [0.2, 0.8], atol=1e-14)
 
 
 class TestCoordinateDescent:
