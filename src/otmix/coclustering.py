@@ -4,14 +4,14 @@ Each matrix entry Y_ij is Gaussian around the mean of its (row class, column
 class) block.  The variational fit alternates a row phase and a column phase;
 inside each phase, soft assignments and block parameters are updated until
 the phase stabilizes.  The aggregate statistics Y^w, u^w reduce a phase to a
-weighted K-component problem: its log kernel is the mixtures' `_quad_form` on
-those moments, its E-step the mixtures' softmax (`_posterior`) or transport
-solve, and VEM's surrogate comes from that softmax's log partition.  The column
-phase is the row phase on Y.T, so `_phase` names blocks (row class, column
-class) of the matrix it is given; `_vem_generic` turns the column phase's
-blocks back into that order.  The fit runs on Y minus its mean, which is added
-back to the block means, so that a constant offset moves the means and nothing
-else.
+weighted K-component problem: its log kernel is a quadratic form in those
+moments (`_quad_form`), its E-step the mixtures' softmax (`_posterior`) or
+transport solve, and VEM's surrogate comes from that softmax's log partition.
+The column phase is the row phase on Y.T, so `_phase` names blocks (row
+class, column class) of the matrix it is given; `_vem_generic` turns the
+column phase's blocks back into that order.  The fit runs on Y minus its
+mean, which is added back to the block means, so that a constant offset moves
+the means and nothing else.
 
 Sinkhorn-VEM replaces the soft-assignment updates with entropic-OT plans
 whose column means equal the row (resp. column) class weights; when the
@@ -29,7 +29,7 @@ import numpy as np
 from .fitting import FitConfig
 from .metrics import _assignment
 from .mixtures import (VARIANCE_FLOOR, _as_float_array, _floored, _make_rng, _posterior,
-                       _quad_form, _row_stochastic, _simplex)
+                       _row_stochastic, _simplex)
 from .sinkhorn import transport_responsibilities
 
 INNER_TOLERANCE = 1e-4
@@ -159,6 +159,15 @@ def aggregate_stats(y: np.ndarray, resp: np.ndarray) -> tuple[np.ndarray, np.nda
     """
     mass = resp.sum(axis=0)
     return (y @ resp) / mass[None, :], ((y**2) @ resp) / mass[None, :]
+
+
+def _quad_form(y: np.ndarray, y_sq: np.ndarray, c: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """y_sq w^T - 2 y (c w)^T + sum c^2 w, (N, K), without an (N, K, d) array: with y_sq = y * y,
+    sum_j (y_ij - c_kj)^2 w_kj.  Centre y and c first: the terms cancel on large offsets."""
+    out = y_sq @ w.T
+    out -= y @ (2.0 * c * w).T
+    out += np.sum(c * c * w, axis=1)
+    return out
 
 
 def _check_block_masses(row_mass: np.ndarray, col_mass: np.ndarray) -> None:

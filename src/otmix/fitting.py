@@ -36,6 +36,7 @@ from .mixtures import (
     Responsibilities,
     VARIANCE_FLOOR,
     VarianceSpec,
+    _moments,
     _posterior,
     _require_at_least,
     _weighted_sq_deviation,
@@ -120,29 +121,30 @@ def mstep_gaussian(
 ) -> MixtureParams:
     """Weighted-mean location update plus per-regime variance update.
 
-    Locations: theta_k = sum_i Psi_ik Y_i / sum_i Psi_ik.  Variances are
-    updated only when spec.fixed is False: each value is the weighted squared
-    deviation pooled over the entries it ties, divided by the mass pooled
-    over the same entries, projected onto the variance floor.  Weights pass
-    through unchanged.
+    One GEMM of the data's sufficient statistics (`_moments`) and Psi gives
+    the masses m_k = sum_i Psi_ik and the moments S1, S2 = sum_i Psi_ik
+    (Y_i - ybar)^{1, 2}.  Locations: theta_k = ybar + S1_k / m_k.  Variances
+    are updated only when spec.fixed is False: each value is the weighted
+    squared deviation (`_weighted_sq_deviation`) pooled over the entries it
+    ties, divided by the mass pooled over the same entries, projected onto
+    the variance floor.  Weights pass through unchanged.
     """
-    psi = resp.matrix
-    y = data.points
-    col_mass = psi.sum(axis=0)
+    design, centre = _moments(data.points)
+    stats = design @ resp.matrix  # (2d+1, K): [S2; S1; m]
+    col_mass = stats[-1]
     low = int(np.argmin(col_mass))
     if col_mass[low] < EMPTY_COMPONENT_THRESHOLD:
         raise EmptyComponentError(low, float(col_mass[low]))
 
-    locations = (psi.T @ y) / col_mass[:, None]
-
+    shift = stats[data.dim:-1].T / col_mass[:, None]  # theta - ybar, (K, d)
     if spec.fixed:
         new_spec = spec
     else:
-        wsq = _weighted_sq_deviation(psi, y, locations, col_mass)  # (K, d)
+        wsq = _weighted_sq_deviation(stats, shift)  # (K, d)
         values = spec.pool(wsq) / spec.pool(np.broadcast_to(col_mass[:, None], wsq.shape))
         new_spec = replace(spec, values=np.maximum(values, VARIANCE_FLOOR))
 
-    return MixtureParams(locations, new_spec, np.asarray(weights, dtype=float))
+    return MixtureParams(centre + shift, new_spec, np.asarray(weights, dtype=float))
 
 
 def _param_change(old: MixtureParams, new: MixtureParams) -> float:

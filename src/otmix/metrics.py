@@ -22,8 +22,9 @@ from .mixtures import (
     VarianceSpec,
     neg_loglik,
     _make_rng,
+    _moments,
+    _natural,
     _require_at_least,
-    _sq_distances,
 )
 
 
@@ -87,13 +88,15 @@ def lloyd_kmeans(
     center, which keeps the inertia non-increasing.
     """
     pts = data.points
+    design, centre = _moments(pts)
     centers = init.locations.copy()
     k = centers.shape[0]
     assign = None
-    for _ in range(max_iter):
-        d2 = _sq_distances(pts, centers, np.ones_like(centers))
+    for it in range(max_iter + 1):
+        # ||y - c||^2 is -2 times `_natural`'s form at unit weights: one GEMM
+        d2 = design.T @ (-2.0 * _natural(centers - centre, np.ones_like(centers)))
         new_assign = np.argmin(d2, axis=1)
-        if assign is not None and np.array_equal(new_assign, assign):
+        if it == max_iter or (assign is not None and np.array_equal(new_assign, assign)):
             break
         assign = new_assign
         for j in range(k):
@@ -104,15 +107,15 @@ def lloyd_kmeans(
                 assign[far] = j
             else:
                 centers[j] = pts[mask].mean(axis=0)
-    d2 = _sq_distances(pts, centers, np.ones_like(centers))
     inertia = float(np.min(d2, axis=1).sum())
     return init.with_locations(centers), inertia
 
 
 def kmeans_labels(params: MixtureParams, data: Dataset) -> np.ndarray:
     """Nearest-center hard assignment (lowest index on ties)."""
-    d2 = _sq_distances(data.points, params.locations, np.ones_like(params.locations))
-    return np.argmin(d2, axis=1)
+    design, centre = _moments(data.points)
+    c = params.locations - centre
+    return np.argmin(design.T @ (-2.0 * _natural(c, np.ones_like(c))), axis=1)
 
 
 def center_error(fitted: MixtureParams, truth: MixtureParams) -> float:

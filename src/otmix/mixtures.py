@@ -2,15 +2,16 @@
 
 Components are isotropic or axis-aligned Gaussians: each component k has a
 location (mean) row, a variance given by a :class:`VarianceSpec`, and a
-strictly positive weight.  One quadratic form, `_quad_form`, serves the log
-kernel, k-means and, on aggregate moments, the co-clustering phase's kernel.
-All density work happens in log space, and one max-shifted row normaliser,
-`_softmax_rows`, gives both E-steps their row softmax and both losses their
-row log-sum-exp, so that far-away points and floor-level variances never
-overflow.  Every row sum of an N-row array is one matrix-vector product,
-`_row_sum`; it serves that normaliser and the one row-stochastic check,
-`_row_stochastic`, of `Responsibilities` and the co-clustering assignments.
-Every container is an immutable value; the functions here are pure.
+strictly positive weight.  Every pass over the data is one GEMM on its
+sufficient statistics (`_moments`): the log kernel on the components' natural
+parameters (`_natural`), the weighted moments of the M-step and the entropic
+gradient, and k-means' distances.  All density work happens in log space, and
+one max-shifted row normaliser, `_softmax_rows`, gives both E-steps their row
+softmax and both losses their row log-sum-exp, so that far-away points and
+floor-level variances never overflow.  Every row sum of an N-row array is one
+matrix-vector product, `_row_sum`; it serves that normaliser and the one
+row-stochastic check, `_row_stochastic`, of `Responsibilities` and the
+co-clustering assignments.  Every container is an immutable value; the functions here are pure.
 """
 
 from __future__ import annotations
@@ -293,41 +294,43 @@ class Responsibilities:
         return self.matrix.mean(axis=0)
 
 
-def _quad_form(y: np.ndarray, y_sq: np.ndarray, c: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """y_sq w^T - 2 y (c w)^T + sum c^2 w, (N, K), without an (N, K, d) array: with y_sq = y * y,
-    sum_j (y_ij - c_kj)^2 w_kj.  Centre y and c first: the terms cancel on large offsets."""
-    out = y_sq @ w.T
-    out -= y @ (2.0 * c * w).T
-    out += np.sum(c * c * w, axis=1)
-    return out
+def _moments(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The data's sufficient statistics, the (2d+1, N) rows [(y - ybar)^2; y - ybar; 1], and the
+    data mean ybar.  The rows are contiguous: one allocation and two passes over the data, and a
+    log kernel is then the GEMM `design.T @ eta` (`_natural`), weighted moments `design @ psi`."""
+    n, d = points.shape
+    centre = np.ones(n) @ points / n
+    design = np.empty((2 * d + 1, n))
+    np.subtract(points.T, centre[:, None], out=design[d:-1])
+    np.multiply(design[d:-1], design[d:-1], out=design[:d])
+    design[-1] = 1.0
+    return design, centre
 
 
-def _sq_distances(points: np.ndarray, centers: np.ndarray, inv_var: np.ndarray) -> np.ndarray:
-    """sum_j (y_ij - c_kj)^2 w_kj, w = inv_var: `_quad_form` on y and c centred at the data
-    mean ybar; absolute error ~ eps sum_j ((y_ij-ybar_j)^2 + (c_kj-ybar_j)^2) w_kj."""
-    centre = points.mean(axis=0)
-    y, c = points - centre, centers - centre
-    return _quad_form(y, y * y, c, inv_var)
+def _natural(c: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """[-w/2; c w; -sum_j c^2 w / 2], (2d+1, K): -1/2 sum_j (y_j - c_kj)^2 w_kj as weights of
+    `_moments`' rows, for c the (K, d) centres less ybar.  Centring cancels the terms on large
+    offsets; absolute error ~ eps sum_j ((y_ij - ybar_j)^2 + c_kj^2) w_kj."""
+    return np.concatenate([-0.5 * w.T, (c * w).T, -0.5 * np.sum(c * c * w, axis=1)[None]])
 
 
 def component_log_densities(params: MixtureParams, points: np.ndarray) -> np.ndarray:
-    """Log densities log q_{theta_k}(y_i) as an (N, K) matrix, from `_sq_distances`."""
+    """Log densities log q_{theta_k}(y_i) as an (N, K) matrix: one GEMM, `_moments` by `_natural`."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
+    design, centre = _moments(pts)
     var = params.variance_matrix()  # (K, d)
-    out = _sq_distances(pts, params.locations, 1.0 / var)
-    out += np.sum(LOG_2PI + np.log(var), axis=1)
-    out *= -0.5
-    return out
+    eta = _natural(params.locations - centre, 1.0 / var)
+    eta[-1] -= 0.5 * np.sum(LOG_2PI + np.log(var), axis=1)
+    return design.T @ eta
 
 
-def _weighted_sq_deviation(psi, points, locations, mass) -> np.ndarray:
-    """sum_i psi_ik (y_ij - theta_kj)^2, (K, d), for psi with column sums `mass`:
-    the kernel's algebra psi^T y^2 - 2 theta psi^T y + theta^2 mass, centred."""
-    centre = points.mean(axis=0)
-    y, theta = points - centre, locations - centre
-    return psi.T @ (y * y) - 2.0 * theta * (psi.T @ y) + theta * theta * mass[:, None]
+def _weighted_sq_deviation(stats: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """sum_i psi_ik (y_ij - theta_kj)^2, (K, d), from the weighted moments stats = design @ psi
+    of `_moments` ([S2; S1; mass]) and c = theta - ybar: S2 - 2 c S1 + c^2 mass."""
+    d = c.shape[1]
+    return stats[:d].T - 2.0 * c * stats[d:-1].T + c * c * stats[-1][:, None]
 
 
 def neg_loglik(params: MixtureParams, data: Dataset) -> float:

@@ -28,6 +28,7 @@ from .mixtures import (
     Dataset,
     MixtureParams,
     Responsibilities,
+    _moments,
     _require_at_least,
     _softmax_rows,
     _weighted_sq_deviation,
@@ -261,15 +262,17 @@ def grad_loss_entropic(
     """
     if solution is None:
         solution = sinkhorn_estep(params, data, cfg)
-    psi = solution.responsibilities.matrix  # (N, K)
+    design, centre = _moments(data.points)
+    stats = design @ solution.responsibilities.matrix  # (2d+1, K): [S2; S1; mass]
+    mass = stats[-1]
+    shift = params.locations - centre
     var = params.variance_matrix()  # (K, d)
-    mass = psi.sum(axis=0)
-    grad_loc = (mass[:, None] * params.locations - psi.T @ data.points) / var / data.n
+    grad_loc = (mass[:, None] * shift - stats[data.dim:-1].T) / var / data.n
 
     grad_var = None
     if not params.variances.fixed:
         # d(-log q)/d v per entry: 1/(2v) - (y - theta)^2 / (2 v^2)
-        wsq = _weighted_sq_deviation(psi, data.points, params.locations, mass)
+        wsq = _weighted_sq_deviation(stats, shift)
         g_diag = (mass[:, None] / var - wsq / (var * var)) / (2.0 * data.n)  # (K, d)
         grad_var = params.variances.pool(g_diag)
     return EntropicGradient(locations=grad_loc, variances=grad_var)

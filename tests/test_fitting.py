@@ -1,6 +1,7 @@
 import math
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -76,34 +77,72 @@ class TestMstep:
                 Dataset(y), Responsibilities(psi), VarianceSpec.shared(1.0), np.array([0.5, 0.5])
             )
 
-    def test_variance_update_regimes(self, rng):
+    # One instance for the regime tests: Bayes responsibilities of a K=3, d=2 mixture.
+    @staticmethod
+    def _regime_instance(rng):
         params, data = random_instance(rng, k=3, d=2, n=150)
         logq = component_log_densities(params, data.points)
-        resp = Responsibilities(responsibility_matrix(logq, params.weights))
+        return params, data, Responsibilities(responsibility_matrix(logq, params.weights))
+
+    REGIMES = {
+        "shared": VarianceSpec.shared(1.0, fixed=False),
+        "spherical": VarianceSpec.spherical(np.ones(3), fixed=False),
+        "diagonal": VarianceSpec.diagonal(np.ones((3, 2)), fixed=False),
+    }
+
+    # The M-step and the gradient centre the data at its mean, so a common offset
+    # costs about the rounding of the shifted points and of theta, half an ulp of
+    # the offset each.  Locations, variances and gradients, all of order 1, are
+    # held to 1e-12 plus two ulps of the offset (2.3e-10 at 1e6); a data pass on
+    # the uncentred points, psi^T y / mass, misses the locations by 5.8e-10 here.
+    OFFSETS = ((0.0, 1e-12), (1e6, 1e-12 + 2 * np.spacing(1e6)))
+
+    def test_variance_update_regimes(self, rng):
+        params, data, resp = self._regime_instance(rng)
         psi = resp.matrix
         y = data.points
-        for kind in ("shared", "spherical", "diagonal"):
-            spec = {
-                "shared": VarianceSpec.shared(1.0, fixed=False),
-                "spherical": VarianceSpec.spherical(np.ones(3), fixed=False),
-                "diagonal": VarianceSpec.diagonal(np.ones((3, 2)), fixed=False),
-            }[kind]
-            out = mstep_gaussian(data, resp, spec, params.weights)
-            # direct double-loop oracle
-            mass = psi.sum(axis=0)
-            mu = (psi.T @ y) / mass[:, None]
-            per = np.zeros((3, 2))
-            for k in range(3):
-                for j in range(2):
-                    per[k, j] = np.sum(psi[:, k] * (y[:, j] - mu[k, j]) ** 2)
-            if kind == "shared":
-                assert float(out.variances.values) == pytest.approx(
-                    per.sum() / (y.shape[0] * 2), rel=1e-12
-                )
-            elif kind == "spherical":
-                assert np.allclose(out.variances.values, per.sum(axis=1) / (mass * 2), rtol=1e-12)
-            else:
-                assert np.allclose(out.variances.values, per / mass[:, None], rtol=1e-12)
+        # direct double-loop oracle on the unshifted points
+        mass = psi.sum(axis=0)
+        mu = (psi.T @ y) / mass[:, None]
+        per = np.zeros((3, 2))
+        for k in range(3):
+            for j in range(2):
+                per[k, j] = np.sum(psi[:, k] * (y[:, j] - mu[k, j]) ** 2)
+        expected = {
+            "shared": per.sum() / (y.shape[0] * 2),
+            "spherical": per.sum(axis=1) / (mass * 2),
+            "diagonal": per / mass[:, None],
+        }
+        for offset, bound in self.OFFSETS:
+            shifted = Dataset(y + offset)
+            for kind, spec in self.REGIMES.items():
+                out = mstep_gaussian(shifted, resp, spec, params.weights)
+                np.testing.assert_allclose(out.locations - offset, mu, rtol=0, atol=bound)
+                np.testing.assert_allclose(
+                    out.variances.values, expected[kind], rtol=0, atol=bound, err_msg=kind)
+
+    def test_entropic_gradient_matches_a_per_component_loop(self, rng):
+        params, data, _ = self._regime_instance(rng)
+        y, n = data.points, data.n
+        for kind, spec in self.REGIMES.items():
+            spec = replace(spec, values=spec.values * 0.7)
+            var = params.with_variances(spec).variance_matrix()
+            for offset, bound in self.OFFSETS:
+                shifted = params.with_variances(spec).with_locations(params.locations + offset)
+                shifted_data = Dataset(y + offset)
+                solution = sinkhorn_estep(shifted, shifted_data, SinkhornConfig())
+                g = grad_loss_entropic(shifted, shifted_data, SinkhornConfig(), solution)
+                # the loop on the unshifted points, at the plan of the shifted problem
+                psi = solution.responsibilities.matrix
+                g_loc = np.zeros((3, 2))
+                g_var = np.zeros((3, 2))
+                for k in range(3):
+                    diff = y - params.locations[k]
+                    g_loc[k] = psi[:, k] @ -diff / var[k] / n
+                    g_var[k] = psi[:, k] @ (1.0 / var[k] - diff**2 / var[k] ** 2) / (2 * n)
+                np.testing.assert_allclose(g.locations, g_loc, rtol=0, atol=bound)
+                np.testing.assert_allclose(
+                    g.variances, spec.pool(g_var), rtol=0, atol=bound, err_msg=kind)
 
     def test_variance_floor_projection(self):
         y = np.array([[0.0], [0.0], [5.0]])

@@ -138,6 +138,28 @@ class TestLloyd:
         inertias = [lloyd_kmeans(data, init, max_iter=t)[1] for t in range(1, 8)]
         assert all(b <= a + 1e-12 for a, b in zip(inertias, inertias[1:]))
 
+    def test_distances_match_a_brute_force_loop(self):
+        # centres 1 and 2 coincide, so every point nearest to them ties and goes
+        # to 1; the inertia's GEMM rounding, ~eps (|y - ybar|^2 + |c - ybar|^2)
+        # per point, is far below the relative 1e-12 it is held to
+        rng = np.random.default_rng(8)
+        data = Dataset(rng.normal(scale=3.0, size=(300, 3)) + 1e3)
+        centers = data.points[[3, 17, 17, 42, 99]]
+        params = MixtureParams(centers, VarianceSpec.shared(1.0), np.full(5, 0.2))
+        nearest = []
+        for y in data.points:
+            best = 0
+            for k in range(1, 5):
+                if np.sum((y - centers[k]) ** 2) < np.sum((y - centers[best]) ** 2):
+                    best = k
+            nearest.append(best)
+        labels = kmeans_labels(params, data)
+        assert np.array_equal(labels, nearest)
+        assert 1 in labels and 2 not in labels
+        fitted, inertia = lloyd_kmeans(data, params)
+        loop = sum(min(np.sum((y - c) ** 2) for c in fitted.locations) for y in data.points)
+        assert inertia == pytest.approx(loop, rel=1e-12, abs=0)
+
     def test_emptied_cluster_is_reseeded(self):
         # the second of two identical centres loses every tie, so its cluster
         # starts empty and is re-seeded at the farthest point

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,6 +185,23 @@ class TestComponentLogpdf:
         scale = (np.sum((points - centre) ** 2, axis=1)[:, None]
                  + np.sum((locations - centre) ** 2, axis=1))
         assert np.all(error <= 4 * np.finfo(float).eps * scale)
+
+    @pytest.mark.parametrize("kind", ["shared", "spherical", "diagonal"])
+    def test_peak_allocation_is_the_output_and_the_statistics(self, kind):
+        # the kernel allocates its (N, K) output and the (2d+1, N) sufficient
+        # statistics, and no other N-row array; 16 KiB of slack covers the
+        # parameter-sized temporaries (they took about 2.5 KB here)
+        n, k, d = 2000, 20, 3
+        params, data = random_instance(np.random.default_rng(4), k=k, d=d, n=n, kind=kind)
+        bound = 8 * (n * k + (2 * d + 1) * n) + 16 * 1024
+        component_log_densities(params, data.points)
+        tracemalloc.start()
+        try:
+            component_log_densities(params, data.points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
     def test_nonfinite_point_rejected(self):
         # points are checked once, where they enter: the Dataset
