@@ -125,7 +125,7 @@ class TestMstep:
         params, data, _ = self._regime_instance(rng)
         y, n = data.points, data.n
         for kind, spec in self.REGIMES.items():
-            spec = replace(spec, values=spec.values * 0.7)
+            spec = replace(spec, values=spec.values * 0.7)  # v != 1, so the division shows
             var = params.with_variances(spec).variance_matrix()
             for offset, bound in self.OFFSETS:
                 shifted = params.with_variances(spec).with_locations(params.locations + offset)
