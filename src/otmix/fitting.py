@@ -162,13 +162,22 @@ def _effective_init(init: MixtureParams, cfg: FitConfig) -> MixtureParams:
     return init.with_variances(replace(init.variances, fixed=not cfg.update_variances))
 
 
-def _transport_losses(solution: SinkhornSolution, weights: np.ndarray) -> tuple[float, float]:
+def _transport_losses(
+    solution: SinkhornSolution, weights: np.ndarray, log_kernel: np.ndarray
+) -> tuple[float, float]:
     """(ell, L) at a solve's potentials omega from its plan Psi and log partition lse:
     L = alpha . omega - mean(lse), and as Psi_ik e^{-omega_k} = alpha_k q_k(Y_i) / e^{lse_i},
-    ell = -mean(lse + log(Psi e^{-omega})), one matvec (shifted by min omega)."""
+    ell = -mean(lse + log(Psi e^{-omega})), one matvec (shifted by min omega).  Where that
+    matvec underflows (potentials spread past ~745, a row's mass on high-omega columns),
+    the row's log sum_k alpha_k q_k(Y_i) is taken from the log kernel instead."""
     omega, lse, low = solution.potentials, solution.log_partition, solution.potentials.min()
-    ell = -np.mean(lse + np.log(solution.responsibilities.matrix @ np.exp(low - omega)) - low)
-    return float(ell), float(np.dot(weights, omega) - np.mean(lse))
+    tilted = solution.responsibilities.matrix @ np.exp(low - omega)
+    lost = tilted < np.finfo(float).tiny
+    tilted[lost] = 1.0
+    log_lik = lse + np.log(tilted) - low
+    if lost.any():
+        _, log_lik[lost] = _posterior(log_kernel[lost], weights)
+    return float(-np.mean(log_lik)), float(np.dot(weights, omega) - np.mean(lse))
 
 
 def _fit(data: Dataset, init: MixtureParams, cfg: FitConfig, transport: bool) -> FitReport:
@@ -185,7 +194,7 @@ def _fit(data: Dataset, init: MixtureParams, cfg: FitConfig, transport: bool) ->
             all_solves_converged &= solution.converged
             omega = solution.potentials
             resp = solution.responsibilities
-            trace.append(_transport_losses(solution, params.weights))
+            trace.append(_transport_losses(solution, params.weights, log_kernel))
         else:
             matrix, lse = _posterior(log_kernel, params.weights)
             resp = Responsibilities(matrix)
@@ -284,7 +293,7 @@ def _coordinate_descent(data: Dataset, init: MixtureParams, cfg: FitConfig) -> F
 
     # the last weight phase left theta as it is, so its kernel is current
     final_solution = transport_responsibilities(log_kernel, params.weights, cfg.sinkhorn)
-    trace.append(_transport_losses(final_solution, params.weights))
+    trace.append(_transport_losses(final_solution, params.weights, log_kernel))
     return FitReport(
         final_params=params,
         loss_trace=trace,

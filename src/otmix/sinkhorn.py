@@ -14,6 +14,10 @@ mean_i Psi_ik(omega) = alpha_k by Sinkhorn scaling with the data-side potential
 eliminated.  An absorption pass builds the plan P at omega0 in log space, so
 cost entries beyond +-700 are harmless; later scaling steps take the column
 means s (P^T 1/(P s)) / N, s = e^{omega - omega0}, until omega strays ABSORB_BOUND.
+A solve still unconverged after SCALING_BUDGET such iterations finishes with
+Levenberg-Newton ascent on the semi-dual (`_newton_finish`), each trial step
+one log-space pass.  An iteration is one pass over the plan, a scaling step or
+a log-space pass, and `max_iterations` caps them all.
 """
 
 from __future__ import annotations
@@ -51,6 +55,15 @@ MARGINAL_FLOOR = 1e-300
 # an entry that underflowed (below e^-708 in a row whose largest entry is >= 1/K)
 # then carries relative mass below K e^{-(708 - 2 ABSORB_BOUND)}.
 ABSORB_BOUND = 50.0
+# Scaling iterations before a solve switches to the Newton finish: a solve that
+# converges within them returns the scaling iterates' bits.
+SCALING_BUDGET = 50
+# The Newton finish's Levenberg factor mu starts at 1 and stays within
+# [LEVENBERG_MIN, LEVENBERG_MAX]; after MAX_REJECTIONS rejected trials in a row
+# it takes one Sinkhorn update instead.
+LEVENBERG_MIN = 1e-6
+LEVENBERG_MAX = 1e6
+MAX_REJECTIONS = 3
 
 
 class SinkhornNonConvergence(UserWarning):
@@ -59,7 +72,12 @@ class SinkhornNonConvergence(UserWarning):
 
 @dataclass(frozen=True)
 class SinkhornConfig:
-    """Solver knobs; defaults follow the experiment protocol (tol 1e-3, 1000 iters)."""
+    """Solver knobs; defaults follow the experiment protocol (tol 1e-3, 1000 iters).
+
+    max_iterations caps the passes over the plan: the scaling iterations and,
+    past SCALING_BUDGET of them, every log-space pass of the Newton finish,
+    rejected trial steps included.
+    """
 
     tolerance: float = 1e-3
     max_iterations: int = 1000
@@ -123,15 +141,12 @@ def transport_responsibilities(
     prev_error = np.inf
     boosted = False
     prev_omega = omega
-    for iterations in range(1, cfg.max_iterations + 1):
+    for iterations in range(1, min(cfg.max_iterations, SCALING_BUDGET) + 1):
         plan_omega = omega  # the point of this pass's plan, and of the solution
         step = omega - absorbed
         if not np.abs(step).max() <= ABSORB_BOUND:
             # absorption pass: the normalised plan at omega, in log space
-            np.add(log_kernel, (log_w + omega)[None, :], out=buf)
-            row_max, row_sum = _softmax_rows(buf)
-            buf /= row_sum[:, None]
-            marginal = np.add.reduce(buf, axis=0) / n
+            row_max, row_sum, marginal = _log_domain_pass(log_kernel, log_w + omega, buf)
             absorbed, scaling = omega, None
         else:
             # scaling step: the plan at omega is buf * scaling / row_scale
@@ -170,7 +185,14 @@ def transport_responsibilities(
     if scaling is not None:  # the last pass was a scaling step: build its plan
         buf *= scaling / row_scale[:, None]
         row_sum = row_sum * row_scale
-        error = float(np.abs(np.add.reduce(buf, axis=0) / n - weights).max())
+        marginal = np.add.reduce(buf, axis=0) / n
+        error = float(np.abs(marginal - weights).max())
+        converged = error <= cfg.tolerance
+    if not converged and iterations < cfg.max_iterations:
+        plan_omega, buf, row_max, row_sum, error, passes = _newton_finish(
+            log_kernel, weights, plan_omega, buf, row_max, row_sum, marginal,
+            cfg.tolerance, cfg.max_iterations - iterations)
+        iterations += passes
         converged = error <= cfg.tolerance
     if not converged:
         warnings.warn(
@@ -188,6 +210,76 @@ def transport_responsibilities(
         converged=converged,
         log_partition=row_max + np.log(row_sum),
     )
+
+
+def _log_domain_pass(log_kernel: np.ndarray, shift: np.ndarray, out: np.ndarray):
+    """The plan at log weights + potentials `shift`, the row softmax of log_kernel + shift,
+    into `out`; returns its row maxima, shifted row sums and column means."""
+    np.add(log_kernel, shift[None, :], out=out)
+    row_max, row_sum = _softmax_rows(out)
+    out /= row_sum[:, None]
+    return row_max, row_sum, np.add.reduce(out, axis=0) / out.shape[0]
+
+
+def _newton_finish(log_kernel, weights, omega, plan, row_max, row_sum, marginal, tolerance,
+                   max_passes):
+    """Levenberg-Newton ascent on the semi-dual S(omega) = alpha . omega - mean(lse), from
+    the plan at omega, in the K - 1 free potentials (omega_K stays).
+
+    The gradient is g = alpha - m, m the plan's column means, and the negative
+    Hessian diag(m) - Psi^T Psi / N (one GEMM); the step d solves it plus
+    mu |g| I, its largest entry clipped to ABSORB_BOUND.  Each trial is one
+    log-space pass into a second buffer, swapped in when S rises (on a tie in
+    S, when the marginal error falls) or the tolerance is met; mu is then
+    quartered, and otherwise quadrupled.  After MAX_REJECTIONS rejections in
+    a row, or from a plan with an empty column (where the Hessian says nothing),
+    the trial is a Sinkhorn update instead, log alpha - log m with log m taken
+    in log space; it never lowers S and is always taken.  Returns the last
+    accepted point as (omega, plan, row_max, row_sum, error) and the passes
+    made, at most max_passes.
+    """
+    n, k = plan.shape
+    log_w = np.log(weights)
+    trial = np.empty_like(plan)
+    value = float(np.dot(weights, omega) - np.mean(row_max + np.log(row_sum)))
+    error = float(np.abs(marginal - weights).max())
+    mu, rejected = 1.0, 0
+    for passes in range(1, max_passes + 1):
+        grad = weights - marginal
+        sinkhorn = rejected >= MAX_REJECTIONS or not marginal.min() > MARGINAL_FLOOR
+        if sinkhorn:
+            # log m from the log plan log_kernel + log alpha + omega - lse, column by column
+            np.subtract(log_kernel, (row_max + np.log(row_sum))[:, None], out=trial)
+            trial += log_w + omega
+            col_max = trial.max(axis=0)
+            trial -= col_max
+            np.exp(trial, out=trial)
+            step = log_w - col_max - np.log(np.add.reduce(trial, axis=0) / n)
+            step -= step[-1]
+        else:
+            free = np.diag(marginal[:-1]) - (plan.T @ plan)[:-1, :-1] / n
+            free.flat[::k] += mu * math.sqrt(grad.dot(grad))
+            step = np.linalg.solve(free, grad[:-1])
+            step *= ABSORB_BOUND / np.abs(step).max(initial=ABSORB_BOUND)
+            step = np.append(step, 0.0)
+        t_omega = omega + step
+        t_max, t_sum, t_marginal = _log_domain_pass(log_kernel, log_w + t_omega, trial)
+        t_value = float(np.dot(weights, t_omega) - np.mean(t_max + np.log(t_sum)))
+        t_error = float(np.abs(t_marginal - weights).max())
+        if (sinkhorn or t_error <= tolerance or t_value > value
+                or (t_value == value and t_error < error)):
+            if not sinkhorn:
+                mu = max(mu / 4.0, LEVENBERG_MIN)
+            rejected = 0
+            plan, trial = trial, plan
+            omega, row_max, row_sum, marginal = t_omega, t_max, t_sum, t_marginal
+            value, error = t_value, t_error
+            if error <= tolerance:
+                break
+        else:
+            mu = min(mu * 4.0, LEVENBERG_MAX)
+            rejected += 1
+    return omega, plan, row_max, row_sum, error, passes
 
 
 def sinkhorn_estep(params: MixtureParams, data: Dataset, cfg: SinkhornConfig) -> SinkhornSolution:

@@ -1,5 +1,7 @@
 import itertools
 import re
+import warnings
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -10,12 +12,15 @@ from otmix import (
     EmptyBlockError,
     FitConfig,
     SinkhornConfig,
+    SinkhornNonConvergence,
     block_score,
     random_block_init,
     sample_block_data,
     svem_fit,
+    transport_responsibilities,
     vem_fit,
 )
+from otmix import coclustering
 from otmix.coclustering import (
     _check_block_masses,
     _initial_parameters,
@@ -263,6 +268,49 @@ class TestSvemFit:
         fitted, _, _ = svem_fit(y, 2, 2, init, cfg)
         observed = np.sort(np.bincount(rows, minlength=2) / 80.0)
         assert np.max(np.abs(np.sort(fitted.row_weights) - observed)) < 0.05
+
+    def test_cold_c12_column_solve_converges(self):
+        # C12 at sigma2 = 2.5, replicate 13, start 4: the column phase's first,
+        # cold solve; a Newton finish without a bounded step left it at marginal
+        # error 0.8 for all of C12's 50,000 iterations
+        rng = np.random.default_rng((112, 25, 13))
+        model = BlockModel(rng.uniform(-5.0, 5.0, size=(5, 5)), np.full((5, 5), 2.5),
+                           np.full(5, 0.2), np.full(5, 0.2))
+        y, _, _ = sample_block_data(model, 100, 100, rng)
+        for _ in range(5):
+            init = random_block_init(100, 100, 5, 5, rng)
+        cfg = FitConfig(max_outer_iterations=20,
+                        sinkhorn=SinkhornConfig(tolerance=1e-3, max_iterations=50000))
+        cold = []
+
+        def first_two_cold_solves(log_kernel, weights, sinkhorn, omega):
+            if omega is None:
+                cold.append(log_kernel)
+                if len(cold) == 2:
+                    raise StopIteration
+            return transport_responsibilities(log_kernel, weights, sinkhorn, omega)
+
+        with patch.object(coclustering, "transport_responsibilities", first_two_cold_solves), \
+                pytest.raises(StopIteration):
+            svem_fit(y, 5, 5, init, cfg, variances=model.variances,
+                     row_weights=model.row_weights, col_weights=model.col_weights)
+        solution = transport_responsibilities(cold[1], model.col_weights, cfg.sinkhorn)
+        assert solution.converged and solution.iterations < 1000
+
+    def test_inferred_weights_at_tight_tolerance_cap_no_solve(self):
+        # the property tests' recipe from default_rng(0), with known variances:
+        # near hard assignments, the weight-inference solves once stopped at the
+        # iteration cap
+        rng = np.random.default_rng(0)
+        truth = BlockModel(rng.uniform(-3.0, 3.0, size=(3, 3)), rng.uniform(0.5, 1.5, size=(3, 3)),
+                           rng.dirichlet(np.full(3, 10.0)), rng.dirichlet(np.full(3, 10.0)))
+        y, _, _ = sample_block_data(truth, 35, 22, rng)
+        init = random_block_init(35, 22, 3, 3, rng)
+        cfg = FitConfig(sinkhorn=SinkhornConfig(tolerance=1e-10), update_weights=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", SinkhornNonConvergence)
+            _, _, report = svem_fit(y, 3, 3, init, cfg, variances=truth.variances)
+        assert report.max_marginal_error <= 1e-10
 
 
 class TestBlockScore:

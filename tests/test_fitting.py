@@ -17,15 +17,22 @@ from otmix import (
     VarianceSpec,
     em_fit,
     grad_loss_entropic,
+    kmeanspp_init,
     mstep_gaussian,
     neg_loglik,
     sample_mixture,
     sem_fit,
     sinkhorn_estep,
     tilt_weights,
+    transport_responsibilities,
 )
 from otmix import fitting
-from otmix.mixtures import component_log_densities, responsibility_matrix
+from otmix.mixtures import (
+    component_log_densities,
+    neg_loglik_from_log_densities,
+    responsibility_matrix,
+)
+from otmix.sinkhorn import semidual_value
 from conftest import random_instance
 
 
@@ -322,6 +329,38 @@ class TestSemFit:
         assert center_error(em_report.final_params, truth) > 1.0
         assert center_error(sem_report.final_params, truth) < 0.5
 
+    def test_separated_k20_cell_has_no_empty_component(self):
+        # 20 components 10 standard deviations apart: the first solve from this
+        # k-means++ start outlasted the protocol's 1,000 scaling iterations and
+        # handed the M-step a column of mass ~1e-83
+        rng = np.random.default_rng(0)
+        truth = MixtureParams(rng.uniform(-10.0, 10.0, size=(20, 2)), VarianceSpec.shared(0.1),
+                              np.full(20, 0.05))
+        data = sample_mixture(truth, 300, rng)
+        init = kmeanspp_init(data, 20, 7).with_variances(truth.variances)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", SinkhornNonConvergence)
+            report = sem_fit(data, init, FitConfig())
+        assert report.sinkhorn_converged
+
+    def test_losses_at_potentials_past_exp_underflow(self):
+        # at potentials [0, 800], e^{min omega - omega} underflows in the second
+        # column, and so does Psi e^{min omega - omega} in every row whose plan mass
+        # sits there; ell must still be the mixture's, with no divide warning
+        rng = np.random.default_rng(5)
+        log_kernel = rng.normal(scale=3.0, size=(50, 2))
+        log_kernel[:10, 0] += 900.0  # these rows keep their mass in the first column
+        weights = np.array([0.4, 0.6])
+        with pytest.warns(SinkhornNonConvergence):
+            solution = transport_responsibilities(
+                log_kernel, weights, SinkhornConfig(max_iterations=1), np.array([0.0, 800.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ell, big_l = fitting._transport_losses(solution, weights, log_kernel)
+        assert ell == pytest.approx(neg_loglik_from_log_densities(log_kernel, weights), rel=1e-13)
+        assert big_l == pytest.approx(
+            semidual_value(log_kernel, weights, solution.potentials), rel=1e-13)
+
 
 class TestUpdateWeightsEg:
     """Weights tilted by a multiple of a gradient, as `tilt_weights` computes it."""
@@ -343,6 +382,16 @@ class TestCoordinateDescent:
         cfg = FitConfig(update_weights=True)
         report = sem_fit(data, truth, cfg)
         assert np.max(np.abs(report.final_params.weights - 1.0 / 3.0)) < 2.0 / math.sqrt(n)
+
+    def test_cold_first_estep_of_separated_mixture_converges(self):
+        # the instance above: its cold first E-step once stopped at the cap of
+        # 1,000 scaling iterations at marginal error 0.0095
+        truth = grid_params([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]], var=0.25)
+        data = sample_mixture(truth, 2500, 21)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", SinkhornNonConvergence)
+            solution = sinkhorn_estep(truth, data, SinkhornConfig())
+        assert solution.converged
 
     def test_loss_not_increased_by_alpha_phases(self, rng):
         params, data = random_instance(rng, k=3, d=2, n=200)

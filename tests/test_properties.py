@@ -219,6 +219,29 @@ def test_scaling_steps_keep_the_log_domain_plan(n, k, seed, scale, tolerance):
     assert solution.converged == (solution.marginal_error <= tolerance)
 
 
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(
+    n=st.integers(2, 40),
+    k=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1e3, 1e4]),
+    tolerance=st.sampled_from([1e-3, 1e-8]),
+)
+def test_newton_finish_converges_on_saturated_kernels(n, k, seed, scale, tolerance):
+    # the kernels above at their two largest scales: most outlast the scaling
+    # budget, and the Newton finish brings every one within 2,000 iterations
+    rng = np.random.default_rng(seed)
+    log_kernel = -scale * rng.uniform(0.0, 1.0, size=(n, k))
+    shares = np.exp(log_kernel - logsumexp(log_kernel, axis=1, keepdims=True)).mean(axis=0)
+    weights = np.empty(k)
+    weights[np.argsort(shares)] = np.sort(rng.dirichlet(np.ones(k)))[::-1]
+    cfg = SinkhornConfig(tolerance=tolerance, max_iterations=2000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", SinkhornNonConvergence)
+        solution = transport_responsibilities(log_kernel, weights, cfg)
+    assert solution.converged
+
+
 @PROPERTY_SETTINGS
 @given(
     problem=problems(),

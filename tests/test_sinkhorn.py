@@ -23,6 +23,7 @@ from otmix import (
     transport_responsibilities,
 )
 from otmix.fitting import FitConfig
+from otmix.sinkhorn import SCALING_BUDGET
 from conftest import random_instance
 
 TIGHT = SinkhornConfig(tolerance=1e-10, max_iterations=50000)
@@ -162,6 +163,23 @@ class TestSinkhornEstep:
         assert np.array_equal(sol.responsibilities.matrix, plan)
         assert np.array_equal(sol.log_partition, row_max + np.log(row_sum))
         assert sol.marginal_error == np.abs(np.add.reduce(plan, axis=0) / 300 - weights).max()
+
+    def test_solve_within_the_scaling_budget_keeps_its_bits(self):
+        # a solve that converges within SCALING_BUDGET iterations never reaches
+        # the Newton finish, so a cap of SCALING_BUDGET returns the same bits
+        rng = np.random.default_rng(11)
+        log_kernel = rng.normal(scale=3.0, size=(300, 4))
+        weights = rng.dirichlet(np.ones(4))
+        short = transport_responsibilities(
+            log_kernel, weights, SinkhornConfig(tolerance=1e-8, max_iterations=SCALING_BUDGET))
+        full = transport_responsibilities(
+            log_kernel, weights, SinkhornConfig(tolerance=1e-8, max_iterations=1000))
+        assert short.converged and 1 < short.iterations < SCALING_BUDGET
+        assert short.iterations == full.iterations
+        assert np.array_equal(short.potentials, full.potentials)
+        assert np.array_equal(short.responsibilities.matrix, full.responsibilities.matrix)
+        assert np.array_equal(short.log_partition, full.log_partition)
+        assert short.marginal_error == full.marginal_error
 
     def test_potentials_flat_at_truth_for_large_n(self):
         # population limit: at the true parameters of an overlapping mixture
