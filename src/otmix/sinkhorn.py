@@ -245,7 +245,6 @@ def _newton_finish(log_kernel, weights, omega, plan, row_max, row_sum, marginal,
     error = float(np.abs(marginal - weights).max())
     mu, rejected = 1.0, 0
     for passes in range(1, max_passes + 1):
-        grad = weights - marginal
         sinkhorn = rejected >= MAX_REJECTIONS or not marginal.min() > MARGINAL_FLOOR
         if sinkhorn:
             # log m from the log plan log_kernel + log alpha + omega - lse, column by column
@@ -257,6 +256,7 @@ def _newton_finish(log_kernel, weights, omega, plan, row_max, row_sum, marginal,
             step = log_w - col_max - np.log(np.add.reduce(trial, axis=0) / n)
             step -= step[-1]
         else:
+            grad = weights - marginal
             free = np.diag(marginal[:-1]) - (plan.T @ plan)[:-1, :-1] / n
             free.flat[::k] += mu * math.sqrt(grad.dot(grad))
             step = np.linalg.solve(free, grad[:-1])
