@@ -72,8 +72,8 @@ class SinkhornConfig:
     """Solver knobs; defaults follow the experiment protocol (tol 1e-3, 1000 iters).
 
     max_iterations caps the passes over the plan: the plain scaling iterations
-    and, past SCALING_BUDGET (5) of them, every log-space pass of the Newton
-    finish, rejected trial steps included.
+    and, past SCALING_BUDGET of them, every log-space pass of the Newton finish,
+    rejected trial steps included.
     """
 
     tolerance: float = 1e-3

@@ -232,9 +232,9 @@ def test_scaling_steps_keep_the_log_domain_plan(n, k, seed, scale, tolerance):
 def test_newton_finish_converges_on_saturated_kernels(n, k, seed, scale, tolerance):
     # the kernels above at their two largest scales: most outlast the scaling
     # budget, and the Newton finish brings every one within 2,000 iterations.
-    # The two pinned draws are hard cases kept from an earlier solver, whose
-    # extrapolated scaling updates sent the potentials about 1e6 away and left
-    # empty columns that only the finish's log-space Sinkhorn step refilled
+    # The two pinned draws put their potentials some 5e3 apart, a hundred clipped
+    # Newton steps.  A Newton step can leave a column empty, and only the
+    # finish's log-space Sinkhorn step refills it
     rng = np.random.default_rng(seed)
     log_kernel = -scale * rng.uniform(0.0, 1.0, size=(n, k))
     shares = np.exp(log_kernel - logsumexp(log_kernel, axis=1, keepdims=True)).mean(axis=0)
