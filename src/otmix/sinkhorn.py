@@ -17,10 +17,11 @@ An absorption pass builds the plan P at omega0 in log space, so cost entries
 beyond +-700 are harmless; later iterations take m = s (P^T 1/(P s)) / N,
 s = e^{omega - omega0}, until omega strays ABSORB_BOUND.  A solve still
 unconverged after SCALING_BUDGET such iterations finishes with Levenberg-Newton
-ascent on the semi-dual (`_newton_finish`), each trial step one log-space pass.
-An iteration is one pass over the plan, a scaling step or a log-space pass, and
-`max_iterations` caps them all.  Column means are the matrix-vector product
-1^T P / N, which BLAS sums faster than numpy's reduction.
+ascent on the semi-dual (`_newton_finish`), each trial step a trial in scaling
+form on the absorbed plan, or a log-space pass.  An iteration is one pass over
+the plan, a scaling step or a log-space pass, and `max_iterations` caps them
+all.  Column means are the matrix-vector product 1^T P / N, which BLAS sums
+faster than numpy's reduction.
 """
 
 from __future__ import annotations
@@ -72,8 +73,9 @@ class SinkhornConfig:
     """Solver knobs; defaults follow the experiment protocol (tol 1e-3, 1000 iters).
 
     max_iterations caps the passes over the plan: the plain scaling iterations
-    and, past SCALING_BUDGET of them, every log-space pass of the Newton finish,
-    rejected trial steps included.
+    and, past SCALING_BUDGET of them, every trial of the Newton finish (a trial
+    in scaling form on the absorbed plan, or a log-space pass), rejected trial
+    steps included.
     """
 
     tolerance: float = 1e-3
@@ -140,12 +142,10 @@ def transport_responsibilities(
         if not np.abs(step).max() <= ABSORB_BOUND:
             # absorption pass: the normalised plan at omega, in log space
             row_max, row_sum, marginal = _log_domain_pass(log_kernel, log_w + omega, buf)
-            absorbed, scaling = omega, None
+            absorbed, scaling, row_scale = omega, None, None
         else:
             # scaling step: the plan at omega is buf * scaling / row_scale
-            scaling = np.exp(step)
-            row_scale = buf @ scaling
-            marginal = scaling * (buf.T @ (1.0 / row_scale)) / n
+            scaling, row_scale, marginal = _scaling_step(buf, step)
         error = float(np.abs(marginal - weights).max())
         if error <= cfg.tolerance:
             converged = True
@@ -154,17 +154,16 @@ def transport_responsibilities(
         # the potentials are defined up to a constant: pin omega_K = 0
         omega = omega - omega[-1]
 
-    if scaling is not None:  # the last pass was a scaling step: build its plan
+    if not converged and iterations < cfg.max_iterations:
+        plan_omega, buf, row_max, row_sum, scaling, row_scale, passes = _newton_finish(
+            log_kernel, weights, plan_omega, absorbed, buf, row_max, row_sum, scaling, row_scale,
+            marginal, cfg.tolerance, cfg.max_iterations - iterations)
+        iterations += passes
+    if scaling is not None:  # the last point is a scaled one: build its plan
         buf *= scaling / row_scale[:, None]
         row_sum = row_sum * row_scale
         marginal = np.ones(n) @ buf / n
         error = float(np.abs(marginal - weights).max())
-        converged = error <= cfg.tolerance
-    if not converged and iterations < cfg.max_iterations:
-        plan_omega, buf, row_max, row_sum, error, passes = _newton_finish(
-            log_kernel, weights, plan_omega, buf, row_max, row_sum, marginal,
-            cfg.tolerance, cfg.max_iterations - iterations)
-        iterations += passes
         converged = error <= cfg.tolerance
     if not converged:
         warnings.warn(
@@ -193,65 +192,89 @@ def _log_domain_pass(log_kernel: np.ndarray, shift: np.ndarray, out: np.ndarray)
     return row_max, row_sum, np.ones(len(out)) @ out / len(out)
 
 
-def _newton_finish(log_kernel, weights, omega, plan, row_max, row_sum, marginal, tolerance,
-                   max_passes):
-    """Levenberg-Newton ascent on the semi-dual S(omega) = alpha . omega - mean(lse), from
-    the plan at omega, in the K - 1 free potentials (omega_K stays).
+def _scaling_step(plan: np.ndarray, step: np.ndarray):
+    """Scaling e^step, row scale r and column means of the absorbed `plan` moved by `step`."""
+    scaling = np.exp(step)
+    row_scale = plan @ scaling
+    return scaling, row_scale, scaling * (plan.T @ (1.0 / row_scale)) / len(plan)
+
+
+def _newton_finish(log_kernel, weights, omega, absorbed, plan, row_max, row_sum, scaling,
+                   row_scale, marginal, tolerance, max_passes):
+    """Levenberg-Newton ascent on the semi-dual S(omega) = alpha . omega - mean(lse), in the
+    K - 1 free potentials (omega_K stays), from the plan absorbed in `plan` at `absorbed`
+    and scaled to omega by `scaling` and `row_scale` (None: absorbed at omega).
 
     The gradient is g = alpha - m, m the plan's column means, and the negative
-    Hessian diag(m) - Psi^T Psi / N (one GEMM); the step d solves it plus
-    mu |g| I, its largest entry clipped to ABSORB_BOUND.  Each trial is one
-    log-space pass into a second buffer, swapped in when S rises (on a tie in
-    S, when the marginal error falls) or the tolerance is met; mu is then
-    quartered, and otherwise quadrupled.  After MAX_REJECTIONS rejections in
-    a row, or from a plan with an empty column (where the Hessian says nothing),
-    the trial is a Sinkhorn update instead, log alpha - log m with log m taken
-    in log space; it never lowers S and is always taken.  Returns the last
-    accepted point as (omega, plan, row_max, row_sum, error) and the passes
-    made, at most max_passes.
+    Hessian diag(m) - Psi^T Psi / N, one GEMM per accepted point: Psi^T Psi =
+    (c^T c) * s s^T, c = plan / r.  The step d solves it plus mu |g| I, its
+    largest entry clipped to ABSORB_BOUND.  A trial within ABSORB_BOUND of
+    `absorbed` is a trial in scaling form on the absorbed plan, where
+    S = alpha . omega - (sum lse0 + sum log r) / N; any other is a log-space
+    pass into a second buffer, swapped in on acceptance.  A trial is accepted
+    when S rises (on a tie in S, when the marginal error falls) or the
+    tolerance is met; mu is then quartered, and otherwise quadrupled.  After
+    MAX_REJECTIONS rejections in a row, or from a plan with an empty column
+    (where the Hessian says nothing), the trial is a Sinkhorn update instead,
+    log alpha - log m with log m taken in log space; it never lowers S and is
+    always taken.  Returns the last accepted point, whose plan is
+    plan * scaling / row_scale, as (omega, plan, row_max, row_sum, scaling,
+    row_scale), and the passes made, at most max_passes.
     """
     n, k = plan.shape
     log_w = np.log(weights)
-    trial = np.empty_like(plan)
-    value = float(np.dot(weights, omega) - np.mean(row_max + np.log(row_sum)))
+    if scaling is None:
+        scaling, row_scale = np.ones(k), np.ones(n)
+    lse0 = (row_max + np.log(row_sum)).sum()
+    value = weights.dot(omega) - (lse0 + np.log(row_scale).sum()) / n
     error = float(np.abs(marginal - weights).max())
-    mu, rejected = 1.0, 0
+    mu, rejected, spare, hessian = 1.0, 0, None, None
     for passes in range(1, max_passes + 1):
         sinkhorn = rejected >= MAX_REJECTIONS or not marginal.min() > MARGINAL_FLOOR
         if sinkhorn:
             # log m from the log plan log_kernel + log alpha + omega - lse, column by column
-            np.subtract(log_kernel, (row_max + np.log(row_sum))[:, None], out=trial)
-            trial += log_w + omega
-            col_max = trial.max(axis=0)
-            trial -= col_max
-            np.exp(trial, out=trial)
-            step = log_w - col_max - np.log(np.ones(n) @ trial / n)
+            logits = log_kernel - (row_max + np.log(row_sum * row_scale))[:, None]
+            logits += log_w + omega
+            col_max = logits.max(axis=0)
+            step = log_w - col_max - np.log(np.ones(n) @ np.exp(logits - col_max) / n)
             step -= step[-1]
         else:
+            if hessian is None:
+                c = plan / row_scale[:, None]
+                hessian = ((c.T @ c) * scaling * scaling[:, None])[:-1, :-1] / -n
+                hessian.flat[::k] += marginal[:-1]
             grad = weights - marginal
-            free = np.diag(marginal[:-1]) - (plan.T @ plan)[:-1, :-1] / n
+            free = hessian.copy()
             free.flat[::k] += mu * math.sqrt(grad.dot(grad))
-            step = np.linalg.solve(free, grad[:-1])
+            step = np.concatenate((np.linalg.solve(free, grad[:-1]), [0.0]))
             step *= ABSORB_BOUND / np.abs(step).max(initial=ABSORB_BOUND)
-            step = np.append(step, 0.0)
         t_omega = omega + step
-        t_max, t_sum, t_marginal = _log_domain_pass(log_kernel, log_w + t_omega, trial)
-        t_value = float(np.dot(weights, t_omega) - np.mean(t_max + np.log(t_sum)))
+        t_step, t_plan, t_lse0 = t_omega - absorbed, None, lse0
+        if np.abs(t_step).max() <= ABSORB_BOUND:
+            t_scaling, t_scale, t_marginal = _scaling_step(plan, t_step)
+        else:
+            spare = np.empty_like(plan) if spare is None else spare
+            t_max, t_sum, t_marginal = _log_domain_pass(log_kernel, log_w + t_omega, spare)
+            t_plan, t_lse0 = spare, (t_max + np.log(t_sum)).sum()
+            t_scaling, t_scale = np.ones(k), np.ones(n)
+        t_value = weights.dot(t_omega) - (t_lse0 + np.log(t_scale).sum()) / n
         t_error = float(np.abs(t_marginal - weights).max())
         if (sinkhorn or t_error <= tolerance or t_value > value
                 or (t_value == value and t_error < error)):
             if not sinkhorn:
                 mu = max(mu / 4.0, LEVENBERG_MIN)
-            rejected = 0
-            plan, trial = trial, plan
-            omega, row_max, row_sum, marginal = t_omega, t_max, t_sum, t_marginal
+            rejected, hessian = 0, None
+            if t_plan is not None:
+                plan, spare = t_plan, plan
+                absorbed, row_max, row_sum, lse0 = t_omega, t_max, t_sum, t_lse0
+            omega, scaling, row_scale, marginal = t_omega, t_scaling, t_scale, t_marginal
             value, error = t_value, t_error
             if error <= tolerance:
                 break
         else:
             mu = min(mu * 4.0, LEVENBERG_MAX)
             rejected += 1
-    return omega, plan, row_max, row_sum, error, passes
+    return omega, plan, row_max, row_sum, scaling, row_scale, passes
 
 
 def sinkhorn_estep(params: MixtureParams, data: Dataset, cfg: SinkhornConfig) -> SinkhornSolution:

@@ -1,7 +1,19 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
+import otmix
 from otmix import Dataset, MixtureParams, VarianceSpec, sample_mixture
+
+# Hypothesis draws some examples from the literal constants of every non-test
+# module in sys.modules, so a property test's draws would depend on which otmix
+# modules the tests collected before it happened to import.  Importing them all
+# here gives a test the same draws alone and in a full run.  The tools and
+# perfbench modules that tests load by path stay out of sys.modules.
+for _module in pkgutil.iter_modules(otmix.__path__):
+    importlib.import_module(f"otmix.{_module.name}")
 
 
 def random_params(rng, k=None, d=None, kind=None, fixed=True, spread=2.0):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -22,8 +23,9 @@ from otmix import (
     tilt_weights,
     transport_responsibilities,
 )
+from otmix import sinkhorn
 from otmix.fitting import FitConfig
-from otmix.sinkhorn import SCALING_BUDGET
+from otmix.sinkhorn import ABSORB_BOUND, SCALING_BUDGET
 from conftest import random_instance
 
 TIGHT = SinkhornConfig(tolerance=1e-10, max_iterations=50000)
@@ -61,6 +63,13 @@ def bisect_omega_k2(params, data, tol=1e-13):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def finishing_kernel():
+    """A 100 x 5 log kernel and weights whose cold solve at tolerance 1e-8 outlasts the
+    scaling budget while its potentials stay within ABSORB_BOUND of zero."""
+    rng = np.random.default_rng(0)
+    return rng.normal(scale=3.0, size=(100, 5)), rng.dirichlet(np.ones(5))
 
 
 class TestSinkhornEstep:
@@ -183,6 +192,31 @@ class TestSinkhornEstep:
         assert np.array_equal(short.responsibilities.matrix, full.responsibilities.matrix)
         assert np.array_equal(short.log_partition, full.log_partition)
         assert short.marginal_error == full.marginal_error
+
+    def test_newton_trials_within_the_bound_take_no_log_domain_pass(self):
+        # the Newton finish takes each trial within ABSORB_BOUND of the absorbed
+        # potentials in scaling form on the absorbed plan, so the first pass is
+        # the solve's only log-space pass
+        log_kernel, weights = finishing_kernel()
+        with patch.object(sinkhorn, "_log_domain_pass", wraps=sinkhorn._log_domain_pass) as pass_:
+            sol = transport_responsibilities(log_kernel, weights, SinkhornConfig(tolerance=1e-8))
+        assert sol.converged and sol.iterations > SCALING_BUDGET
+        assert np.abs(sol.potentials).max() <= ABSORB_BOUND
+        assert pass_.call_count == 1
+
+    def test_scaled_newton_finish_returns_the_log_domain_plan(self):
+        # the plan built from the finish's scaling state is the log-space
+        # softmax at the returned potentials, with its log partition and error
+        log_kernel, weights = finishing_kernel()
+        sol = transport_responsibilities(log_kernel, weights, SinkhornConfig(tolerance=1e-8))
+        assert sol.converged and sol.iterations > SCALING_BUDGET
+        logits = log_kernel + np.log(weights) + sol.potentials
+        lse = logsumexp(logits, axis=1)
+        plan = np.exp(logits - lse[:, None])
+        assert np.max(np.abs(plan - sol.responsibilities.matrix)) <= 1e-12
+        assert np.max(np.abs(sol.log_partition - lse)) <= 1e-12
+        error = np.max(np.abs(plan.mean(axis=0) - weights))
+        assert sol.marginal_error == pytest.approx(error, rel=0, abs=1e-12)
 
     def test_potentials_flat_at_truth_for_large_n(self):
         # population limit: at the true parameters of an overlapping mixture
