@@ -11,17 +11,19 @@ responsibilities under the tilted weights
 
 and the potentials solve the column-marginal equation
 mean_i Psi_ik(omega) = alpha_k by Sinkhorn scaling with the data-side potential
-eliminated.  Each scaling iteration takes the column means m of the plan at
-omega and updates omega <- omega + log alpha - log m, pinned so omega_K = 0.
-An absorption pass builds the plan P at omega0 in log space, so cost entries
-beyond +-700 are harmless; later iterations take m = s (P^T 1/(P s)) / N,
-s = e^{omega - omega0}, until omega strays ABSORB_BOUND.  A solve still
-unconverged after SCALING_BUDGET such iterations finishes with Levenberg-Newton
-ascent on the semi-dual (`_newton_finish`), each trial step a trial in scaling
-form on the absorbed plan, or a log-space pass.  An iteration is one pass over
-the plan, a scaling step or a log-space pass, and `max_iterations` caps them
-all.  Column means are the matrix-vector product 1^T P / N, which BLAS sums
-faster than numpy's reduction.
+eliminated.  The solver is one loop, and each iteration evaluates one trial
+point omega and takes it or rejects it.  An absorption pass builds the plan P
+at omega0 in log space, so cost entries beyond +-700 are harmless; a trial
+within ABSORB_BOUND of omega0 takes the column means m of its plan in scaling
+form, m = s (P^T 1/(P s)) / N with s = e^{omega - omega0}, and any other trial
+is a new absorption pass.  The first trial is the start, and the next
+SCALING_BUDGET - 1 are Sinkhorn updates omega + log alpha - log m, pinned so
+omega_K = 0.  Later trials are Levenberg-Newton steps on the semi-dual, after
+Brauer, Clason, Lorenz and Wirth, "A Sinkhorn-Newton method for entropic
+optimal transport" (2017), with a Sinkhorn update where a Newton step would
+stall.  An iteration is one trial, and `max_iterations` caps them all,
+rejected trials included.  Column means are the matrix-vector product
+1^T P / N, which BLAS sums faster than numpy's reduction.
 """
 
 from __future__ import annotations
@@ -45,20 +47,21 @@ from .mixtures import (
 )
 
 
-# MARGINAL_FLOOR keeps the log of an underflowed column marginal finite.
+# A column whose mass is at most MARGINAL_FLOOR is empty: the Sinkhorn update
+# then takes log m from the log plan, and no Newton step is tried.
 MARGINAL_FLOOR = 1e-300
 # Scaling steps reuse the plan absorbed at omega0 while |omega - omega0| <= ABSORB_BOUND:
 # an entry that underflowed (below e^-708 in a row whose largest entry is >= 1/K)
 # then carries relative mass below K e^{-(708 - 2 ABSORB_BOUND)}.
 ABSORB_BOUND = 50.0
-# Scaling iterations before a solve switches to the Newton finish: a solve that
-# converges within them returns the scaling iterates' bits.  Warm solves mostly
-# converge in one or two; a slow solve gains little from more plain steps and
-# much from reaching the finish early.
+# Trials before a solve may take Newton steps: a solve that converges within
+# them returns the Sinkhorn iterates' bits.  Warm solves mostly converge in one
+# or two; a slow solve gains little from more Sinkhorn updates and much from
+# reaching the Newton steps early.
 SCALING_BUDGET = 5
-# The Newton finish's Levenberg factor mu starts at 1 and stays within
+# The Newton steps' Levenberg factor mu starts at 1 and stays within
 # [LEVENBERG_MIN, LEVENBERG_MAX]; after MAX_REJECTIONS rejected trials in a row
-# it takes one Sinkhorn update instead.
+# the next trial is a Sinkhorn update.
 LEVENBERG_MIN = 1e-6
 LEVENBERG_MAX = 1e6
 MAX_REJECTIONS = 3
@@ -72,10 +75,9 @@ class SinkhornNonConvergence(UserWarning):
 class SinkhornConfig:
     """Solver knobs; defaults follow the experiment protocol (tol 1e-3, 1000 iters).
 
-    max_iterations caps the passes over the plan: the plain scaling iterations
-    and, past SCALING_BUDGET of them, every trial of the Newton finish (a trial
-    in scaling form on the absorbed plan, or a log-space pass), rejected trial
-    steps included.
+    max_iterations caps the trials of the solver loop, each one pass over the
+    plan (in scaling form on the absorbed plan, or a log-space pass), rejected
+    Newton trials included.
     """
 
     tolerance: float = 1e-3
@@ -123,46 +125,101 @@ def transport_responsibilities(
     Returns the conditional plan row-normalized per data point, with column
     means matching `weights` up to cfg.tolerance in L-infinity norm.  Warns
     (never raises) on non-convergence so sweeps can proceed.
+
+    The trials after the first SCALING_BUDGET are Levenberg-Newton steps on the
+    semi-dual S(omega) = alpha . omega - mean(lse) in the K - 1 free potentials
+    (omega_K stays).  The gradient is g = alpha - m and the negative Hessian
+    diag(m) - Psi^T Psi / N, one GEMM per taken point: Psi^T Psi =
+    (c^T c) * s s^T, c = plan / r.  The step d solves it plus mu |g| I, its
+    largest entry clipped to ABSORB_BOUND.  A Newton trial is taken when S
+    rises (on a tie in S, when the marginal error falls) or the tolerance is
+    met; mu is then quartered, and otherwise quadrupled.  Only Newton trials
+    evaluate S, in scaling form alpha . omega - (sum lse0 + sum log r) / N.
+    After MAX_REJECTIONS rejections in a row, or from a plan with an empty
+    column (where the Hessian says nothing), the trial is a Sinkhorn update
+    instead, with log m taken from the log plan column by column where a
+    column is empty.  A Sinkhorn update never lowers S and is always taken.
     """
     log_kernel = np.asarray(log_kernel, dtype=float)
-    n, k = log_kernel.shape
     weights = np.asarray(weights, dtype=float)
+    if log_kernel.ndim != 2 or not log_kernel.size:
+        raise ValueError(f"log_kernel must be a non-empty (N, K) array, got {log_kernel.shape}")
+    n, k = log_kernel.shape
+    if weights.shape != (k,):
+        raise ValueError(f"weights must have shape ({k},) to match log_kernel, got {weights.shape}")
+    if not weights.min() > 0:
+        raise ValueError(f"weights must be positive, got a smallest weight of {weights.min():g}")
     log_w = np.log(weights)
-    omega = np.zeros(k) if initial_potentials is None else np.array(initial_potentials, dtype=float)
-    if omega.shape != (k,):
+    trial = np.zeros(k) if initial_potentials is None else np.array(initial_potentials, dtype=float)
+    if trial.shape != (k,):
         raise ValueError("initial potentials must be a K-vector")
 
-    converged = False
-    iterations = 0
-    buf = np.empty_like(log_kernel)
-    absorbed = np.full(k, np.inf)  # the potentials of the plan in buf; none yet
-    for iterations in range(1, min(cfg.max_iterations, SCALING_BUDGET) + 1):
-        plan_omega = omega  # the point of this pass's plan, and of the solution
-        step = omega - absorbed
-        if not np.abs(step).max() <= ABSORB_BOUND:
-            # absorption pass: the normalised plan at omega, in log space
-            row_max, row_sum, marginal = _log_domain_pass(log_kernel, log_w + omega, buf)
-            absorbed, scaling, row_scale = omega, None, None
+    converged, rejected, mu = False, 0, 1.0
+    plan = spare = hessian = value = None
+    absorbed = np.full(k, np.inf)  # the potentials of the absorbed plan; none yet
+    for iterations in range(1, cfg.max_iterations + 1):
+        newton = (iterations > SCALING_BUDGET and rejected < MAX_REJECTIONS
+                  and marginal.min() > MARGINAL_FLOOR)
+        if newton:
+            if hessian is None:  # once per taken point
+                c = plan / row_scale[:, None]
+                hessian = ((c.T @ c) * scaling * scaling[:, None])[:-1, :-1] / -n
+                hessian.flat[::k] += marginal[:-1]
+            if value is None:  # S at a point a Sinkhorn update reached
+                lse0 = (row_max + np.log(row_sum)).sum()
+                value = weights.dot(omega) - (lse0 + np.log(row_scale).sum()) / n
+            grad = weights - marginal
+            free = hessian.copy()
+            free.flat[::k] += mu * math.sqrt(grad.dot(grad))
+            step = np.concatenate((np.linalg.solve(free, grad[:-1]), [0.0]))
+            step *= ABSORB_BOUND / np.abs(step).max(initial=ABSORB_BOUND)
+            trial = omega + step
+        elif iterations > 1:  # a Sinkhorn update
+            if marginal.min() > MARGINAL_FLOOR:
+                log_m = np.log(marginal)
+            else:  # an empty column: log m from the log plan, column by column
+                logits = log_kernel - (row_max + np.log(row_sum * row_scale))[:, None]
+                logits += log_w + omega
+                col_max = logits.max(axis=0)
+                log_m = col_max + np.log(np.ones(n) @ np.exp(logits - col_max) / n)
+            trial = omega + (log_w - log_m)
+            trial -= trial[-1]
+
+        t_step = trial - absorbed
+        absorb = not np.abs(t_step).max() <= ABSORB_BOUND
+        if absorb:  # the normalised plan at the trial, in log space, into the spare buffer
+            spare = np.empty_like(log_kernel) if spare is None else spare
+            t_max, t_sum, t_marginal = _log_domain_pass(log_kernel, log_w + trial, spare)
+            t_scaling = t_scale = None
+        else:  # the plan at the trial is plan * t_scaling / t_scale
+            t_scaling, t_scale, t_marginal = _scaling_step(plan, t_step)
+        t_error = float(np.abs(t_marginal - weights).max())
+        if newton:
+            t_lse = (t_max + np.log(t_sum)).sum() if absorb else lse0 + np.log(t_scale).sum()
+            t_value = weights.dot(trial) - t_lse / n
+            if not (t_error <= cfg.tolerance or t_value > value
+                    or (t_value == value and t_error < error)):
+                mu = min(mu * 4.0, LEVENBERG_MAX)
+                rejected += 1
+                continue
+            mu = max(mu / 4.0, LEVENBERG_MIN)
+            lse0, value = (t_lse if absorb else lse0), t_value
         else:
-            # scaling step: the plan at omega is buf * scaling / row_scale
-            scaling, row_scale, marginal = _scaling_step(buf, step)
-        error = float(np.abs(marginal - weights).max())
+            value = None
+        rejected, hessian = 0, None
+        if absorb:
+            plan, spare, absorbed, row_max, row_sum = spare, plan, trial, t_max, t_sum
+        omega, scaling, row_scale, marginal, error = trial, t_scaling, t_scale, t_marginal, t_error
         if error <= cfg.tolerance:
             converged = True
             break
-        omega = omega + (log_w - np.log(np.maximum(marginal, MARGINAL_FLOOR)))
-        # the potentials are defined up to a constant: pin omega_K = 0
-        omega = omega - omega[-1]
+        if absorb:  # the plan at omega is the absorbed plan, for the steps that scale it
+            scaling, row_scale = np.ones(k), np.ones(n)
 
-    if not converged and iterations < cfg.max_iterations:
-        plan_omega, buf, row_max, row_sum, scaling, row_scale, passes = _newton_finish(
-            log_kernel, weights, plan_omega, absorbed, buf, row_max, row_sum, scaling, row_scale,
-            marginal, cfg.tolerance, cfg.max_iterations - iterations)
-        iterations += passes
-    if scaling is not None:  # the last point is a scaled one: build its plan
-        buf *= scaling / row_scale[:, None]
+    if omega is not absorbed:  # the taken point is a scaled one: build its plan
+        plan *= scaling / row_scale[:, None]
         row_sum = row_sum * row_scale
-        marginal = np.ones(n) @ buf / n
+        marginal = np.ones(n) @ plan / n
         error = float(np.abs(marginal - weights).max())
         converged = error <= cfg.tolerance
     if not converged:
@@ -174,8 +231,8 @@ def transport_responsibilities(
         )
 
     return SinkhornSolution(
-        potentials=plan_omega,
-        responsibilities=Responsibilities(buf),
+        potentials=omega,
+        responsibilities=Responsibilities(plan),
         marginal_error=error,
         iterations=iterations,
         converged=converged,
@@ -197,84 +254,6 @@ def _scaling_step(plan: np.ndarray, step: np.ndarray):
     scaling = np.exp(step)
     row_scale = plan @ scaling
     return scaling, row_scale, scaling * (plan.T @ (1.0 / row_scale)) / len(plan)
-
-
-def _newton_finish(log_kernel, weights, omega, absorbed, plan, row_max, row_sum, scaling,
-                   row_scale, marginal, tolerance, max_passes):
-    """Levenberg-Newton ascent on the semi-dual S(omega) = alpha . omega - mean(lse), in the
-    K - 1 free potentials (omega_K stays), from the plan absorbed in `plan` at `absorbed`
-    and scaled to omega by `scaling` and `row_scale` (None: absorbed at omega).
-
-    The gradient is g = alpha - m, m the plan's column means, and the negative
-    Hessian diag(m) - Psi^T Psi / N, one GEMM per accepted point: Psi^T Psi =
-    (c^T c) * s s^T, c = plan / r.  The step d solves it plus mu |g| I, its
-    largest entry clipped to ABSORB_BOUND.  A trial within ABSORB_BOUND of
-    `absorbed` is a trial in scaling form on the absorbed plan, where
-    S = alpha . omega - (sum lse0 + sum log r) / N; any other is a log-space
-    pass into a second buffer, swapped in on acceptance.  A trial is accepted
-    when S rises (on a tie in S, when the marginal error falls) or the
-    tolerance is met; mu is then quartered, and otherwise quadrupled.  After
-    MAX_REJECTIONS rejections in a row, or from a plan with an empty column
-    (where the Hessian says nothing), the trial is a Sinkhorn update instead,
-    log alpha - log m with log m taken in log space; it never lowers S and is
-    always taken.  Returns the last accepted point, whose plan is
-    plan * scaling / row_scale, as (omega, plan, row_max, row_sum, scaling,
-    row_scale), and the passes made, at most max_passes.
-    """
-    n, k = plan.shape
-    log_w = np.log(weights)
-    if scaling is None:
-        scaling, row_scale = np.ones(k), np.ones(n)
-    lse0 = (row_max + np.log(row_sum)).sum()
-    value = weights.dot(omega) - (lse0 + np.log(row_scale).sum()) / n
-    error = float(np.abs(marginal - weights).max())
-    mu, rejected, spare, hessian = 1.0, 0, None, None
-    for passes in range(1, max_passes + 1):
-        sinkhorn = rejected >= MAX_REJECTIONS or not marginal.min() > MARGINAL_FLOOR
-        if sinkhorn:
-            # log m from the log plan log_kernel + log alpha + omega - lse, column by column
-            logits = log_kernel - (row_max + np.log(row_sum * row_scale))[:, None]
-            logits += log_w + omega
-            col_max = logits.max(axis=0)
-            step = log_w - col_max - np.log(np.ones(n) @ np.exp(logits - col_max) / n)
-            step -= step[-1]
-        else:
-            if hessian is None:
-                c = plan / row_scale[:, None]
-                hessian = ((c.T @ c) * scaling * scaling[:, None])[:-1, :-1] / -n
-                hessian.flat[::k] += marginal[:-1]
-            grad = weights - marginal
-            free = hessian.copy()
-            free.flat[::k] += mu * math.sqrt(grad.dot(grad))
-            step = np.concatenate((np.linalg.solve(free, grad[:-1]), [0.0]))
-            step *= ABSORB_BOUND / np.abs(step).max(initial=ABSORB_BOUND)
-        t_omega = omega + step
-        t_step, t_plan, t_lse0 = t_omega - absorbed, None, lse0
-        if np.abs(t_step).max() <= ABSORB_BOUND:
-            t_scaling, t_scale, t_marginal = _scaling_step(plan, t_step)
-        else:
-            spare = np.empty_like(plan) if spare is None else spare
-            t_max, t_sum, t_marginal = _log_domain_pass(log_kernel, log_w + t_omega, spare)
-            t_plan, t_lse0 = spare, (t_max + np.log(t_sum)).sum()
-            t_scaling, t_scale = np.ones(k), np.ones(n)
-        t_value = weights.dot(t_omega) - (t_lse0 + np.log(t_scale).sum()) / n
-        t_error = float(np.abs(t_marginal - weights).max())
-        if (sinkhorn or t_error <= tolerance or t_value > value
-                or (t_value == value and t_error < error)):
-            if not sinkhorn:
-                mu = max(mu / 4.0, LEVENBERG_MIN)
-            rejected, hessian = 0, None
-            if t_plan is not None:
-                plan, spare = t_plan, plan
-                absorbed, row_max, row_sum, lse0 = t_omega, t_max, t_sum, t_lse0
-            omega, scaling, row_scale, marginal = t_omega, t_scaling, t_scale, t_marginal
-            value, error = t_value, t_error
-            if error <= tolerance:
-                break
-        else:
-            mu = min(mu * 4.0, LEVENBERG_MAX)
-            rejected += 1
-    return omega, plan, row_max, row_sum, scaling, row_scale, passes
 
 
 def sinkhorn_estep(params: MixtureParams, data: Dataset, cfg: SinkhornConfig) -> SinkhornSolution:

@@ -138,21 +138,52 @@ class TestSinkhornEstep:
 
     def test_capped_solve_returns_the_point_of_its_plan(self):
         # stopped at its cap, a solve returns the potentials its plan, marginal
-        # error and log partition were computed from, not the next update
+        # error and log partition were computed from, not the next update: at a
+        # cap within the scaling budget, and at caps among the Newton steps
         rng = np.random.default_rng(7)
-        log_kernel = rng.normal(scale=3.0, size=(200, 4))
-        weights = rng.dirichlet(np.ones(4))
-        cfg = SinkhornConfig(tolerance=1e-12, max_iterations=5)
+        cases = [(rng.normal(scale=3.0, size=(200, 4)), rng.dirichlet(np.ones(4)), 5)]
+        cases += [(*finishing_kernel(), cap)
+                  for cap in range(SCALING_BUDGET + 1, SCALING_BUDGET + 5)]
+        for log_kernel, weights, cap in cases:
+            cfg = SinkhornConfig(tolerance=1e-12, max_iterations=cap)
+            with pytest.warns(SinkhornNonConvergence):
+                sol = transport_responsibilities(log_kernel, weights, cfg)
+            assert not sol.converged and sol.iterations == cap
+            logits = log_kernel + np.log(weights) + sol.potentials
+            lse = logsumexp(logits, axis=1)
+            plan = np.exp(logits - lse[:, None])
+            assert np.max(np.abs(plan - sol.responsibilities.matrix)) <= 1e-12
+            error = np.max(np.abs(plan.mean(axis=0) - weights))
+            assert sol.marginal_error == pytest.approx(error, rel=0, abs=1e-12)
+            assert np.max(np.abs(sol.log_partition - lse)) <= 1e-12
+
+    def test_empty_column_takes_the_exact_sinkhorn_update(self):
+        # column 0 sits 1e4 below the others, so its mass underflows to zero at
+        # the start; the update takes log m from the log plan, column by column,
+        # instead of flooring it, and lands on the exact log-space update
+        rng = np.random.default_rng(5)
+        log_kernel = rng.normal(size=(30, 3))
+        log_kernel[:, 0] -= 1e4
+        weights = np.array([0.2, 0.3, 0.5])
         with pytest.warns(SinkhornNonConvergence):
-            sol = transport_responsibilities(log_kernel, weights, cfg)
-        assert not sol.converged and sol.iterations == 5
-        logits = log_kernel + np.log(weights) + sol.potentials
-        lse = logsumexp(logits, axis=1)
-        plan = np.exp(logits - lse[:, None])
-        assert np.max(np.abs(plan - sol.responsibilities.matrix)) <= 1e-12
-        error = np.max(np.abs(plan.mean(axis=0) - weights))
-        assert sol.marginal_error == pytest.approx(error, rel=0, abs=1e-12)
-        assert np.max(np.abs(sol.log_partition - lse)) <= 1e-12
+            sol = transport_responsibilities(log_kernel, weights, SinkhornConfig(max_iterations=2))
+        logits = log_kernel + np.log(weights)
+        logits -= logsumexp(logits, axis=1, keepdims=True)
+        exact = np.log(weights) - (logsumexp(logits, axis=0) - np.log(30))
+        exact -= exact[-1]
+        assert exact[0] > 9000.0
+        assert np.max(np.abs(sol.potentials - exact)) <= 1e-9
+
+    @pytest.mark.parametrize("log_kernel, weights, name", [
+        (np.zeros(3), np.full(3, 1 / 3), "log_kernel"),
+        (np.zeros((0, 3)), np.full(3, 1 / 3), "log_kernel"),
+        (np.zeros((4, 3)), np.full(2, 0.5), "weights"),
+        (np.zeros((4, 3)), np.array([0.5, 0.5, 0.0]), "weights"),
+        (np.zeros((4, 3)), np.array([0.75, 0.5, -0.25]), "weights"),
+    ], ids=["1-D", "empty", "wrong-length", "zero-weight", "negative-weight"])
+    def test_bad_input_names_its_argument(self, log_kernel, weights, name):
+        with pytest.raises(ValueError, match=name):
+            transport_responsibilities(log_kernel, weights, SinkhornConfig())
 
     def test_first_pass_solve_is_one_log_domain_pass(self):
         # a solve that converges on its first pass returns that pass's bits:

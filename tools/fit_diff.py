@@ -36,7 +36,20 @@ prints one `key json` line per output.  The outputs are:
   tests' recipe) from random hard starts, each with known or estimated
   variances and known or inferred weights: 320 fits at Sinkhorn tolerance
   1e-10, so that the solves converge and the fits do not amplify last-bit
-  differences as the capped benchmark fits do.
+  differences as the capped benchmark fits do;
+- `solve/...`: `transport_responsibilities` on three families of log kernels,
+  each solve giving its potentials, plan, log partition, marginal error,
+  iterations and convergence flag.  `warm`: 20 normal kernels at scale 3,
+  solved to 1e-4 from the potentials of a 1e-3 solve, which mostly converge
+  within the scaling budget; `cold`: 20 such kernels solved to 1e-8 from zero, which
+  reach the Newton steps; `saturated`: 40 kernels of the property tests'
+  recipe (entries down to -1e3 or -1e4, weights in the reverse order of the
+  kernel's column shares), at tolerance 1e-3 or 1e-8 and a cap of 2,000;
+- `hypothesis/literals`: per `otmix` module, the sorted pool of literal
+  constants that Hypothesis's `constants_from_module` reads from it.
+  Property tests draw some examples from that pool, so a change to it can
+  move their examples.  The API is internal to Hypothesis: the output is
+  left out where it cannot be imported.
 
 Floats are printed by `repr`, so they keep every bit; CSV files are parsed
 into int, float or string cells and JSON files are parsed; an exception is
@@ -69,6 +82,7 @@ D, SIGMA2 = 2, 0.1
 CELLS = ((20, 1000, "shared-known"), (20, 1000, "diagonal-estimated"), (3, 2000, "shared-known"))
 SPURIOUS_SEEDS, SPURIOUS_N = range(4), 2000
 BLOCK_INSTANCES = range(40)
+SOLVE_INSTANCES, SATURATED_INSTANCES = range(20), range(40)
 
 
 def _plain(value):
@@ -304,12 +318,66 @@ def block_outputs():
                                              "surrogates": out[2].inner_surrogates})
 
 
+def solve_outputs():
+    import numpy as np
+
+    from otmix import SinkhornConfig, transport_responsibilities
+
+    def solve(key, log_kernel, weights, cfg, start=None):
+        return _fit_outputs(
+            key, lambda: transport_responsibilities(log_kernel, weights, cfg, start),
+            lambda sol, caught: {"": {
+                "potentials": sol.potentials, "plan": sol.responsibilities.matrix,
+                "log_partition": sol.log_partition, "error": sol.marginal_error,
+                "iterations": sol.iterations, "converged": sol.converged}})
+
+    for instance in SOLVE_INSTANCES:
+        rng = np.random.default_rng((SEED, instance, len(CELLS)))
+        n, k = int(rng.integers(20, 201)), int(rng.integers(2, 7))
+        log_kernel, weights = rng.normal(scale=3.0, size=(n, k)), rng.dirichlet(np.ones(k))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            start = transport_responsibilities(log_kernel, weights, SinkhornConfig()).potentials
+        yield solve(f"solve/{instance}/warm", log_kernel, weights, SinkhornConfig(tolerance=1e-4),
+                    start)
+        yield solve(f"solve/{instance}/cold", log_kernel, weights, SinkhornConfig(tolerance=1e-8))
+    for instance in SATURATED_INSTANCES:
+        rng = np.random.default_rng(instance)
+        n, k = int(rng.integers(2, 41)), int(rng.integers(2, 7))
+        log_kernel = -(1e3, 1e4)[instance % 2] * rng.uniform(0.0, 1.0, size=(n, k))
+        rows = np.exp(log_kernel - log_kernel.max(axis=1, keepdims=True))
+        shares = (rows / rows.sum(axis=1, keepdims=True)).mean(axis=0)
+        weights = np.empty(k)
+        weights[np.argsort(shares)] = np.sort(rng.dirichlet(np.ones(k)))[::-1]
+        cfg = SinkhornConfig(tolerance=(1e-3, 1e-8)[instance // 2 % 2], max_iterations=2000)
+        yield solve(f"solve/{instance}/saturated", log_kernel, weights, cfg)
+
+
+def literal_outputs():
+    import importlib
+    import pkgutil
+
+    import otmix
+
+    try:
+        from hypothesis.internal.constants_ast import constants_from_module
+    except ImportError:
+        return
+    names = ["otmix"] + [f"otmix.{m.name}" for m in pkgutil.iter_modules(otmix.__path__)]
+    yield {"hypothesis/literals": {
+        name: sorted(constants_from_module(importlib.import_module(name)),
+                     key=lambda value: (type(value).__name__, value))
+        for name in names}}
+
+
 def child() -> None:
     """Print each output of the otmix on sys.path as a `key json` line."""
     out = sys.stdout
     with contextlib.redirect_stdout(sys.stderr), tempfile.TemporaryDirectory() as tmp:
+        # Hypothesis caches the literal pools it reads; keep that cache out of the checkout
+        os.environ["HYPOTHESIS_STORAGE_DIRECTORY"] = str(Path(tmp) / "hypothesis")
         for group in (fit_outputs(), cocluster_outputs(), file_outputs(Path(tmp)),
-                      mixture_outputs(), block_outputs()):
+                      mixture_outputs(), block_outputs(), solve_outputs(), literal_outputs()):
             for outputs in group:
                 for key, value in outputs.items():
                     print(key, json.dumps(value, default=_plain), file=out)
