@@ -4,9 +4,9 @@ Each matrix entry Y_ij is Gaussian around the mean of its (row class, column
 class) block.  The variational fit alternates a row phase and a column phase;
 inside each phase, soft assignments and block parameters are updated until
 the phase stabilizes.  The aggregate statistics Y^w, u^w reduce a phase to a
-weighted K-component problem: its log kernel is a quadratic form in those
-moments (`_quad_form`), its E-step the mixtures' softmax (`_posterior`) or
-transport solve, and VEM's surrogate comes from that softmax's log partition.
+weighted K-component Gaussian problem on the design [u^w; Y^w; 1] (the rows of
+`_moments`): the kernel is the design against `_natural`, the M-step one GEMM,
+the E-step `_posterior` or a transport solve, VEM's surrogate its log partition.
 The column phase is the row phase on Y.T, so `_phase` names blocks (row
 class, column class) of the matrix it is given; `_vem_generic` turns the
 column phase's blocks back into that order.  The fit runs on Y minus its
@@ -28,8 +28,8 @@ import numpy as np
 
 from .fitting import FitConfig
 from .metrics import _assignment
-from .mixtures import (VARIANCE_FLOOR, _as_float_array, _floored, _make_rng, _posterior,
-                       _row_stochastic, _simplex)
+from .mixtures import (VARIANCE_FLOOR, _as_float_array, _floored, _make_rng, _natural,
+                       _posterior, _row_stochastic, _simplex)
 from .sinkhorn import transport_responsibilities
 
 INNER_TOLERANCE = 1e-4
@@ -161,15 +161,6 @@ def aggregate_stats(y: np.ndarray, resp: np.ndarray) -> tuple[np.ndarray, np.nda
     return (y @ resp) / mass[None, :], ((y**2) @ resp) / mass[None, :]
 
 
-def _quad_form(y: np.ndarray, y_sq: np.ndarray, c: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """y_sq w^T - 2 y (c w)^T + sum c^2 w, (N, K), without an (N, K, d) array: with y_sq = y * y,
-    sum_j (y_ij - c_kj)^2 w_kj.  Centre y and c first: the terms cancel on large offsets."""
-    out = y_sq @ w.T
-    out -= y @ (2.0 * c * w).T
-    out += np.sum(c * c * w, axis=1)
-    return out
-
-
 def _check_block_masses(row_mass: np.ndarray, col_mass: np.ndarray) -> None:
     mass = row_mass[:, None] * col_mass[None, :]
     if np.min(mass) < EMPTY_BLOCK_THRESHOLD:
@@ -177,18 +168,24 @@ def _check_block_masses(row_mass: np.ndarray, col_mass: np.ndarray) -> None:
         raise EmptyBlockError(int(k), int(g), float(mass[k, g]))
 
 
+def _phase_design(y: np.ndarray, opposite: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """[u^w; Y^w; 1] of `y` at column classes `opposite` in `_moments`' layout, and their masses."""
+    opposite_mass = opposite.sum(axis=0)
+    _check_block_masses(np.ones(1), opposite_mass)
+    y_stat, sq_stat = aggregate_stats(y, opposite)
+    return np.concatenate([sq_stat.T, y_stat.T, np.ones((1, len(y)))]), opposite_mass
+
+
 def _initial_parameters(y, z, w):
-    """Step-2 weighted means/variances from the initial soft assignments."""
-    row_mass = z.sum(axis=0)
-    col_mass = w.sum(axis=0)
+    """Step-2 parameters: z's moments on the row phase's design at w, read as `_phase` reads them."""
+    design, col_mass = _phase_design(y, w)
+    g = len(col_mass)
+    stats = design @ z  # (2G+1, K): [S2; S1; mass]
+    row_mass = stats[-1]
     _check_block_masses(row_mass, col_mass)
-    pi = row_mass / z.shape[0]
-    rho = col_mass / w.shape[0]
-    denom = row_mass[:, None] * col_mass[None, :]
-    means = (z.T @ y @ w) / denom
-    second = (z.T @ (y**2) @ w) / denom
-    variances = np.maximum(second - means**2, VARIANCE_FLOOR)
-    return means, variances, pi, rho
+    means = stats[g:-1].T / row_mass[:, None]
+    variances = np.maximum(stats[:g].T / row_mass[:, None] - means**2, VARIANCE_FLOOR)
+    return means, variances, row_mass / z.shape[0], col_mass / w.shape[0]
 
 
 def _phase(y, opposite, means, variances, weights, cfg: FitConfig, use_transport: bool, omega):
@@ -204,14 +201,14 @@ def _phase(y, opposite, means, variances, weights, cfg: FitConfig, use_transport
     surrogate_trace, max_marginal_error, omega); the surrogate trace is empty
     for Sinkhorn-VEM.
     """
-    opposite_mass = opposite.sum(axis=0)
-    _check_block_masses(np.ones(1), opposite_mass)
-    y_stat, sq_stat = aggregate_stats(y, opposite)
+    design, opposite_mass = _phase_design(y, opposite)
+    g = len(opposite_mass)
 
     # -0.5 sum_g m_g (log v_kg + (S_ig - 2 mu_kg Y_ig + mu_kg^2) / v_kg), m the opposite masses
     def log_kernel_at(mu, var):
-        return -0.5 * (_quad_form(y_stat, sq_stat, mu, opposite_mass / var)
-                       + np.log(var) @ opposite_mass)
+        eta = _natural(mu, opposite_mass / var)
+        eta[-1] -= 0.5 * np.log(var) @ opposite_mass
+        return design.T @ eta
 
     mu, var, wts = means, variances, weights
     surrogate = []
@@ -232,13 +229,14 @@ def _phase(y, opposite, means, variances, weights, cfg: FitConfig, use_transport
             max_err = max(max_err, solution.marginal_error)
 
         prev_wts = wts
-        mass = resp.sum(axis=0)
+        stats = (design if cfg.update_variances else design[g:]) @ resp  # [S2;] S1; mass
+        mass = stats[-1]
         _check_block_masses(mass, opposite_mass)
-        new_mu = (resp.T @ y_stat) / mass[:, None]
+        new_mu = stats[-g - 1:-1].T / mass[:, None]
         change = float(np.abs(new_mu - mu).sum())
         mu = new_mu
         if cfg.update_variances:
-            new_var = np.maximum((resp.T @ sq_stat) / mass[:, None] - mu**2, VARIANCE_FLOOR)
+            new_var = np.maximum(stats[:g].T / mass[:, None] - mu**2, VARIANCE_FLOOR)
             change += float(np.abs(new_var - var).sum())
             var = new_var
         if cfg.update_weights and plain_round:
@@ -293,6 +291,8 @@ def _vem_generic(
     col_weights=None,
 ):
     y = _as_float_array(data, "data")
+    if y.ndim != 2:
+        raise ValueError(f"data must be an (N, M) matrix, got shape {y.shape}")
     n, m = y.shape
     if k > n or g > m:
         raise ValueError("K and G cannot exceed the matrix dimensions")

@@ -124,7 +124,9 @@ def transport_responsibilities(
 
     Returns the conditional plan row-normalized per data point, with column
     means matching `weights` up to cfg.tolerance in L-infinity norm.  Warns
-    (never raises) on non-convergence so sweeps can proceed.
+    (never raises) on non-convergence so sweeps can proceed.  Bad input raises
+    a ValueError that names its argument; a NaN plan at the (finite) start
+    names `log_kernel`, so a NaN kernel fails on its first pass.
 
     The trials after the first SCALING_BUDGET are Levenberg-Newton steps on the
     semi-dual S(omega) = alpha . omega - mean(lse) in the K - 1 free potentials
@@ -151,8 +153,8 @@ def transport_responsibilities(
         raise ValueError(f"weights must be positive, got a smallest weight of {weights.min():g}")
     log_w = np.log(weights)
     trial = np.zeros(k) if initial_potentials is None else np.array(initial_potentials, dtype=float)
-    if trial.shape != (k,):
-        raise ValueError("initial potentials must be a K-vector")
+    if trial.shape != (k,) or not np.isfinite(trial).all():
+        raise ValueError(f"initial_potentials must be a finite ({k},) vector, got {trial}")
 
     converged, rejected, mu = False, 0, 1.0
     plan = spare = hessian = value = None
@@ -194,6 +196,8 @@ def transport_responsibilities(
         else:  # the plan at the trial is plan * t_scaling / t_scale
             t_scaling, t_scale, t_marginal = _scaling_step(plan, t_step)
         t_error = float(np.abs(t_marginal - weights).max())
+        if iterations == 1 and math.isnan(t_error):  # the start is finite: the kernel is not
+            raise ValueError("log_kernel has a NaN or +inf entry or an all -inf row: NaN plan")
         if newton:
             t_lse = (t_max + np.log(t_sum)).sum() if absorb else lse0 + np.log(t_scale).sum()
             t_value = weights.dot(trial) - t_lse / n

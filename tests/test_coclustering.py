@@ -131,6 +131,14 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match="data contains non-finite"):
             fit(y, 2, 2, init, FitConfig())
 
+    @pytest.mark.parametrize("fit", [vem_fit, svem_fit])
+    @pytest.mark.parametrize("shape", [(12,), (12, 10, 2)], ids=["1-D", "3-D"])
+    def test_fit_rejects_non_matrix_data(self, fit, shape, rng):
+        init = random_block_init(12, 10, 2, 2, 0)
+        message = f"data must be an (N, M) matrix, got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fit(rng.normal(size=shape), 2, 2, init, FitConfig())
+
 
 # override: (argument, value, expected error text); K = G = 2
 BAD_OVERRIDES = {

@@ -53,3 +53,18 @@ def test_other_changes_read_as_mismatches(fit_diff, parent, change):
     identical, moved, mismatched = fit_diff.compare(parent, change)
     assert moved == {} and len(mismatched) == 1
     assert fit_diff.report(parent, change) == 1
+
+
+def test_literal_pool_changes_are_listed_per_module(fit_diff, capsys):
+    parent = _outputs({"hypothesis/literals": {"otmix": [], "otmix.a": [0.5, 1, "nan"],
+                                               "otmix.b": [2.0]}})
+    change = _outputs({"hypothesis/literals": {"otmix": [], "otmix.a": [0.5, 1.0, "log_kernel"],
+                                               "otmix.b": [2.0], "otmix.c": [3]}})
+    assert fit_diff.literal_changes(parent["hypothesis/literals"],
+                                    change["hypothesis/literals"]) == {
+        "otmix.a": ([1.0, "log_kernel"], [1, "nan"]), "otmix.c": ([3], [])}
+    assert fit_diff.report(parent, change) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-3:] == ["mismatch: hypothesis/literals",
+                          "literals of otmix.a: added [1.0, 'log_kernel'], removed [1, 'nan']",
+                          "literals of otmix.c: added [3], removed []"]

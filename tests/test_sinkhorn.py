@@ -174,16 +174,19 @@ class TestSinkhornEstep:
         assert exact[0] > 9000.0
         assert np.max(np.abs(sol.potentials - exact)) <= 1e-9
 
-    @pytest.mark.parametrize("log_kernel, weights, name", [
-        (np.zeros(3), np.full(3, 1 / 3), "log_kernel"),
-        (np.zeros((0, 3)), np.full(3, 1 / 3), "log_kernel"),
-        (np.zeros((4, 3)), np.full(2, 0.5), "weights"),
-        (np.zeros((4, 3)), np.array([0.5, 0.5, 0.0]), "weights"),
-        (np.zeros((4, 3)), np.array([0.75, 0.5, -0.25]), "weights"),
-    ], ids=["1-D", "empty", "wrong-length", "zero-weight", "negative-weight"])
-    def test_bad_input_names_its_argument(self, log_kernel, weights, name):
+    @pytest.mark.parametrize("log_kernel, weights, initial_potentials, name", [
+        (np.zeros(3), np.full(3, 1 / 3), None, "log_kernel"),
+        (np.zeros((0, 3)), np.full(3, 1 / 3), None, "log_kernel"),
+        (np.zeros((4, 3)), np.full(2, 0.5), None, "weights"),
+        (np.zeros((4, 3)), np.array([0.5, 0.5, 0.0]), None, "weights"),
+        (np.zeros((4, 3)), np.array([0.75, 0.5, -0.25]), None, "weights"),
+        (np.array([[0.0, 1.0, 2.0], [0.0, np.nan, 2.0]]), np.full(3, 1 / 3), None, "log_kernel"),
+        (np.zeros((4, 3)), np.full(3, 1 / 3), np.array([0.0, np.nan, 0.0]), "initial_potentials"),
+    ], ids=["1-D", "empty", "wrong-length", "zero-weight", "negative-weight", "nan-kernel",
+            "nan-start"])
+    def test_bad_input_names_its_argument(self, log_kernel, weights, initial_potentials, name):
         with pytest.raises(ValueError, match=name):
-            transport_responsibilities(log_kernel, weights, SinkhornConfig())
+            transport_responsibilities(log_kernel, weights, SinkhornConfig(), initial_potentials)
 
     def test_first_pass_solve_is_one_log_domain_pass(self):
         # a solve that converges on its first pass returns that pass's bits:

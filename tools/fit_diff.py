@@ -58,8 +58,9 @@ An output is identical when its JSON text is; moved when only floats differ;
 a mismatch when anything else differs (a count, a flag, a warning, an error,
 a shape) or it exists on one side only.  Prints, per class of output (the
 key's first and last parts), the counts and the largest absolute and
-relative change of the moved ones, then the mismatched keys.  Exits 1 on any
-mismatch and 2 on bad usage.  Takes about a minute per checkout on one
+relative change of the moved ones, then the mismatched keys, and, where the
+literal pools differ, the literals each module added and removed.  Exits 1 on
+any mismatch and 2 on bad usage.  Takes about a minute per checkout on one
 core.
 """
 
@@ -83,6 +84,7 @@ CELLS = ((20, 1000, "shared-known"), (20, 1000, "diagonal-estimated"), (3, 2000,
 SPURIOUS_SEEDS, SPURIOUS_N = range(4), 2000
 BLOCK_INSTANCES = range(40)
 SOLVE_INSTANCES, SATURATED_INSTANCES = range(20), range(40)
+LITERALS = "hypothesis/literals"
 
 
 def _plain(value):
@@ -364,7 +366,7 @@ def literal_outputs():
     except ImportError:
         return
     names = ["otmix"] + [f"otmix.{m.name}" for m in pkgutil.iter_modules(otmix.__path__)]
-    yield {"hypothesis/literals": {
+    yield {LITERALS: {
         name: sorted(constants_from_module(importlib.import_module(name)),
                      key=lambda value: (type(value).__name__, value))
         for name in names}}
@@ -431,6 +433,19 @@ def compare(parent: dict, change: dict):
     return identical, moved, mismatched
 
 
+def literal_changes(parent: str, change: str) -> dict:
+    """{module: (added, removed)} for each module whose pool differs between two
+    `hypothesis/literals` outputs (JSON text); a module on one side only adds or removes all."""
+    before, after = json.loads(parent), json.loads(change)
+    changes = {}
+    for module in {**before, **after}:
+        old, new = ({json.dumps(v): v for v in pools.get(module, [])} for pools in (before, after))
+        if old.keys() != new.keys():
+            changes[module] = ([v for k, v in new.items() if k not in old],
+                               [v for k, v in old.items() if k not in new])
+    return changes
+
+
 def report(parent: dict, change: dict) -> int:
     """Print the comparison of two checkouts' outputs; the exit status."""
     identical, moved, mismatched = compare(parent, change)
@@ -449,6 +464,9 @@ def report(parent: dict, change: dict) -> int:
               f"{largest[0]:>14.3g}{largest[1]:>14.3g}")
     for key in mismatched:
         print(f"mismatch: {key}")
+    pools = (parent.get(LITERALS, "{}"), change.get(LITERALS, "{}"))
+    for module, (added, removed) in literal_changes(*pools).items():
+        print(f"literals of {module}: added {added}, removed {removed}")
     return 1 if mismatched else 0
 
 
