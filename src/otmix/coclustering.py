@@ -399,9 +399,13 @@ def svem_fit(
 def block_score(fitted: BlockModel, truth: BlockModel) -> float:
     """Mean squared block-mean error under the best row x column permutation.
 
-    Exact by row-permutation enumeration (with an assignment solve over the
-    columns for each) when K <= 8; larger K refines alternating row/column
-    assignments from a row matching on sorted block means.
+    The squares of both means do not depend on the permutations, so the best
+    pair (pi, sigma) maximises the gain <F[pi][:, sigma], T>, and for a fixed
+    row permutation the column gains T^T F[pi] give sigma by one assignment
+    solve.  Exact for K <= 8, where one einsum gives the column gains of every
+    row permutation; larger K alternates the row and column assignment solves
+    from a row matching on sorted block means.  The score is computed directly
+    at the chosen pair.
     """
     if (
         fitted.n_row_classes != truth.n_row_classes
@@ -410,34 +414,26 @@ def block_score(fitted: BlockModel, truth: BlockModel) -> float:
         raise ValueError("fitted and true block models must share K and G")
     fit_m = fitted.means
     tru_m = truth.means
-    k, g = tru_m.shape
-
-    def col_aligned_cost(row_perm) -> float:
-        aligned = fit_m[np.asarray(row_perm)]  # rows matched to truth order
-        cost = np.zeros((g, g))
-        for gg in range(g):
-            cost[gg] = np.sum((aligned - tru_m[:, [gg]]) ** 2, axis=0)
-        rows, cols = _assignment(cost)
-        return float(cost[rows, cols].sum())
+    k = tru_m.shape[0]
 
     if k <= 8:
-        best = min(col_aligned_cost(p) for p in itertools.permutations(range(k)))
-        return best / (k * g)
-
-    # sorted means do not depend on the column order
-    gap = np.sort(tru_m, axis=1)[:, None, :] - np.sort(fit_m, axis=1)[None, :, :]
-    _, row_perm = _assignment((gap**2).sum(axis=2))
-    for _ in range(10):
-        aligned_cost = np.zeros((k, k))
-        # fix columns by the current row alignment, then re-match rows
-        col_cost = np.zeros((g, g))
-        for gg in range(g):
-            col_cost[gg] = np.sum((fit_m[row_perm] - tru_m[:, [gg]]) ** 2, axis=0)
-        _, col_perm = _assignment(col_cost)
-        for kk in range(k):
-            aligned_cost[kk] = np.sum((fit_m[:, col_perm] - tru_m[[kk]]) ** 2, axis=1)
-        _, new_perm = _assignment(aligned_cost)
-        if np.array_equal(new_perm, row_perm):
-            break
-        row_perm = new_perm
-    return col_aligned_cost(row_perm) / (k * g)
+        perms = np.array(list(itertools.permutations(range(k))))
+        best = -np.inf
+        for perm, gain in zip(perms, np.einsum("kg,pkh->pgh", tru_m, fit_m[perms])):
+            rows, cols = _assignment(-gain)
+            total = gain[rows, cols].sum()
+            if total > best:
+                best, row_perm, col_perm = total, perm, cols
+    else:
+        # sorted means do not depend on the column order
+        gap = np.sort(tru_m, axis=1)[:, None, :] - np.sort(fit_m, axis=1)[None, :, :]
+        _, row_perm = _assignment((gap**2).sum(axis=2))
+        _, col_perm = _assignment(-(tru_m.T @ fit_m[row_perm]))
+        for _ in range(10):
+            # re-match rows to the aligned columns, then columns to the new rows
+            _, new_perm = _assignment(-(tru_m @ fit_m[:, col_perm].T))
+            if np.array_equal(new_perm, row_perm):
+                break
+            row_perm = new_perm
+            _, col_perm = _assignment(-(tru_m.T @ fit_m[row_perm]))
+    return float(np.mean((fit_m[np.ix_(row_perm, col_perm)] - tru_m) ** 2))

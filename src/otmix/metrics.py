@@ -3,13 +3,13 @@
 Center matching runs through an exact assignment solve (Hungarian), which for
 squared-distance costs coincides with the optimal-transport formulation of
 the permutation search.  The stationary-point diagnostics implement the
-many-fit-one exclusion test and the balance residual used to tell apart
-likelihood stationary points from entropic-OT ones.
+many-fit-one exclusion test, whose covering radius is a bottleneck
+assignment found by the same solve, and the balance residual used to tell
+apart likelihood stationary points from entropic-OT ones.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,17 +33,16 @@ class ManyFitOneDiagnostic:
     """Outcome of the many-fit-one exclusion test.
 
     delta is the separation between the covered true group and the rest;
-    covering_radius is the best surjective-assignment radius of the candidate
-    set onto the group; threshold is the separation the exclusion bound
-    requires.  excluded means the candidate cannot be a stationary point of
-    the entropic loss.
+    covering_radius is the exact best surjective-assignment radius of the
+    candidate set onto the group; threshold is the separation the exclusion
+    bound requires.  excluded means the candidate cannot be a stationary point
+    of the entropic loss.
     """
 
     delta: float
     threshold: float
     covering_radius: float
     excluded: bool
-    approximate: bool = False
 
 
 def kmeanspp_init(data: Dataset, k: int, seed) -> MixtureParams:
@@ -240,43 +239,34 @@ def select_k(
     return best_k, table
 
 
-# Protocol value: the most assignment maps covering_radius enumerates exactly.
-MAX_EXACT_ASSIGNMENTS = 2_000_000
-
-
-def covering_radius(group_points: np.ndarray, candidate_points: np.ndarray):
+def covering_radius(group_points: np.ndarray, candidate_points: np.ndarray) -> float:
     """Smallest delta so the candidates cover the group surjectively.
 
     Every candidate is assigned to a group point within delta and every group
-    point receives at least one candidate.  Exact by enumeration over
-    assignment maps when the search space is small; otherwise a greedy
-    nearest-assignment repair gives an upper bound flagged approximate.
-    Returns (delta, approximate).
+    point receives at least one candidate; inf when there are fewer candidates
+    than group points.  Exact: delta is the larger of the largest
+    nearest-group distance and the bottleneck assignment of the group to
+    distinct candidates (Garfinkel, 1971), so it is the smallest distance t
+    from the former at which the assignment solve on the indicator of
+    distances above t costs 0, found by bisection over the distances.
     """
     g = np.atleast_2d(np.asarray(group_points, dtype=float).reshape(len(group_points), -1))
     c = np.atleast_2d(np.asarray(candidate_points, dtype=float).reshape(len(candidate_points), -1))
     m, r = len(c), len(g)
     if m < r:
-        return float("inf"), False
+        return float("inf")
     dist = np.sqrt(np.sum((c[:, None, :] - g[None, :, :]) ** 2, axis=2))  # (m, r)
-    if r**m <= MAX_EXACT_ASSIGNMENTS and r <= 8:
-        best = float("inf")
-        for assign in itertools.product(range(r), repeat=m):
-            if len(set(assign)) < r:
-                continue
-            radius = max(dist[i, assign[i]] for i in range(m))
-            best = min(best, radius)
-        return best, False
-    # greedy repair: start from nearest assignment, pull closest candidates
-    # onto uncovered group points
-    assign = np.argmin(dist, axis=1)
-    for target in range(r):
-        if np.any(assign == target):
-            continue
-        movable = [i for i in range(m) if np.sum(assign == assign[i]) > 1]
-        best_i = min(movable, key=lambda i: dist[i, target])
-        assign[best_i] = target
-    return float(np.max(dist[np.arange(m), assign])), True
+    radii = np.unique(dist[dist >= dist.min(axis=1).max()])
+    lo, hi = 0, len(radii) - 1  # at the largest distance any r distinct candidates do
+    while lo < hi:
+        mid = (lo + hi) // 2
+        far = dist.T > radii[mid]
+        rows, cols = _assignment(far.astype(float))
+        if far[rows, cols].any():
+            lo = mid + 1
+        else:
+            hi = mid
+    return float(radii[lo])
 
 
 def many_fit_one_excluded(
@@ -318,14 +308,13 @@ def many_fit_one_excluded(
     sigma = math.sqrt(float(truth.variances.values))
     threshold = k_total * sigma / (math.sqrt(2.0 * math.pi) * ((1.0 - gamma) * size_i - k1))
 
-    radius, approx = covering_radius(sorted_locs[:k1], candidate.locations[idx, 0])
+    radius = covering_radius(sorted_locs[:k1], candidate.locations[idx, 0])
     excluded = (delta_sep >= threshold) and (radius < gamma * delta_sep)
     return ManyFitOneDiagnostic(
         delta=delta_sep,
         threshold=float(threshold),
-        covering_radius=float(radius),
+        covering_radius=radius,
         excluded=bool(excluded),
-        approximate=approx,
     )
 
 

@@ -126,7 +126,9 @@ def transport_responsibilities(
     means matching `weights` up to cfg.tolerance in L-infinity norm.  Warns
     (never raises) on non-convergence so sweeps can proceed.  Bad input raises
     a ValueError that names its argument; a NaN plan at the (finite) start
-    names `log_kernel`, so a NaN kernel fails on its first pass.
+    names `log_kernel`, so a NaN kernel fails on its first pass, and a kernel
+    column that is -inf in every row fails, named, at its first Sinkhorn
+    update.
 
     The trials after the first SCALING_BUDGET are Levenberg-Newton steps on the
     semi-dual S(omega) = alpha . omega - mean(lse) in the K - 1 free potentials
@@ -183,6 +185,9 @@ def transport_responsibilities(
                 logits = log_kernel - (row_max + np.log(row_sum * row_scale))[:, None]
                 logits += log_w + omega
                 col_max = logits.max(axis=0)
+                if col_max.min() == -np.inf:
+                    raise ValueError(f"log_kernel column {int(col_max.argmin())} is -inf in "
+                                     "every row: that component can take no mass")
                 log_m = col_max + np.log(np.ones(n) @ np.exp(logits - col_max) / n)
             trial = omega + (log_w - log_m)
             trial -= trial[-1]

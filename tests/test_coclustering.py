@@ -354,14 +354,16 @@ class TestBlockScore:
         b = BlockModel(np.array([[3.0]]), np.array([[1.0]]), np.array([1.0]), np.array([1.0]))
         assert block_score(a, b) == pytest.approx(1.0, abs=1e-14)
 
-    def test_matches_brute_force_enumeration(self, rng):
+    @pytest.mark.parametrize("k, g", [(2, 2), (3, 2), (2, 4), (4, 3)],
+                             ids=["2x2", "3x2", "2x4", "4x3"])
+    def test_matches_brute_force_enumeration(self, rng, k, g):
         for _ in range(20):
-            fitted = make_model(rng, k=2, g=2)
-            truth = make_model(rng, k=2, g=2)
+            fitted = make_model(rng, k=k, g=g)
+            truth = make_model(rng, k=k, g=g)
             best = min(
                 np.mean((fitted.means[np.ix_(rp, cp)] - truth.means) ** 2)
-                for rp in itertools.permutations(range(2))
-                for cp in itertools.permutations(range(2))
+                for rp in itertools.permutations(range(k))
+                for cp in itertools.permutations(range(g))
             )
             assert block_score(fitted, truth) == pytest.approx(best, rel=1e-12)
 

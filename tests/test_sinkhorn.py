@@ -182,8 +182,10 @@ class TestSinkhornEstep:
         (np.zeros((4, 3)), np.array([0.75, 0.5, -0.25]), None, "weights"),
         (np.array([[0.0, 1.0, 2.0], [0.0, np.nan, 2.0]]), np.full(3, 1 / 3), None, "log_kernel"),
         (np.zeros((4, 3)), np.full(3, 1 / 3), np.array([0.0, np.nan, 0.0]), "initial_potentials"),
+        (np.where(np.arange(5) == 1, -np.inf, np.random.default_rng(0).normal(size=(100, 5))),
+         np.full(5, 0.2), None, "log_kernel column 1"),
     ], ids=["1-D", "empty", "wrong-length", "zero-weight", "negative-weight", "nan-kernel",
-            "nan-start"])
+            "nan-start", "all-inf-column"])
     def test_bad_input_names_its_argument(self, log_kernel, weights, initial_potentials, name):
         with pytest.raises(ValueError, match=name):
             transport_responsibilities(log_kernel, weights, SinkhornConfig(), initial_potentials)

@@ -45,6 +45,15 @@ prints one `key json` line per output.  The outputs are:
   reach the Newton steps; `saturated`: 40 kernels of the property tests'
   recipe (entries down to -1e3 or -1e4, weights in the reverse order of the
   kernel's column shares), at tolerance 1e-3 or 1e-8 and a cap of 2,000;
+- `score/...`: the scorers.  `block`: `block_score` of each `block/` fit
+  against its truth; `refine`: `block_score` of a row- and column-permuted
+  copy of a random K x G block model (K = 9..12, G = 3 or 6), and of that
+  copy with unit Gaussian noise, against the model, which takes the
+  alternating refinement; `exclusion`: delta, threshold, covering radius and
+  verdict of `many_fit_one_excluded` on 24 one-dimensional groups of r points
+  covered by m candidates, with r^m assignment maps below and above
+  2,000,000, where earlier versions of `covering_radius` stopped enumerating
+  and gave an upper bound;
 - `hypothesis/literals`: per `otmix` module, the sorted pool of literal
   constants that Hypothesis's `constants_from_module` reads from it.
   Property tests draw some examples from that pool, so a change to it can
@@ -84,6 +93,10 @@ CELLS = ((20, 1000, "shared-known"), (20, 1000, "diagonal-estimated"), (3, 2000,
 SPURIOUS_SEEDS, SPURIOUS_N = range(4), 2000
 BLOCK_INSTANCES = range(40)
 SOLVE_INSTANCES, SATURATED_INSTANCES = range(20), range(40)
+REFINE_ROWS = range(9, 13)
+# (group size r, candidates m): r^m maps of candidates onto the group, on both
+# sides of 2,000,000
+EXCLUSION_SHAPES = ((1, 3), (2, 6), (3, 7), (4, 6), (2, 24), (3, 15), (4, 12), (5, 10))
 LITERALS = "hypothesis/literals"
 
 
@@ -291,7 +304,7 @@ def _both_mixture_fits(name: str, data, init, cfg):
 def block_outputs():
     import numpy as np
 
-    from otmix import (BlockModel, FitConfig, SinkhornConfig, random_block_init,
+    from otmix import (BlockModel, FitConfig, SinkhornConfig, block_score, random_block_init,
                        sample_block_data, svem_fit, vem_fit)
 
     for instance in BLOCK_INSTANCES:
@@ -313,11 +326,46 @@ def block_outputs():
                 regime = (f"{'known' if known_variances else 'estimated'}-variances-"
                           f"{'known' if known_weights else 'inferred'}-weights")
                 for method, fit in (("vem", vem_fit), ("svem", svem_fit)):
-                    yield _fit_outputs(
-                        f"block/{instance}/K{k}-G{g}-{n}x{m}-{regime}/{method}",
-                        lambda: fit(y, k, g, init, cfg, **overrides),
+                    name = f"{instance}/K{k}-G{g}-{n}x{m}-{regime}/{method}"
+                    outputs = _fit_outputs(
+                        f"block/{name}", lambda: fit(y, k, g, init, cfg, **overrides),
                         lambda out, caught: {"params": _block_fit(*out) | {"warnings": caught},
-                                             "surrogates": out[2].inner_surrogates})
+                                             "surrogates": out[2].inner_surrogates,
+                                             "score": block_score(out[0], truth)})
+                    score = outputs.pop(f"block/{name}/score", None)
+                    yield outputs if score is None else outputs | {f"score/{name}/block": score}
+
+
+def score_outputs():
+    import numpy as np
+
+    from otmix import BlockModel, MixtureParams, VarianceSpec, block_score, many_fit_one_excluded
+
+    def model(means):
+        k, g = means.shape
+        return BlockModel(means, np.ones((k, g)), np.full(k, 1 / k), np.full(g, 1 / g))
+
+    for k in REFINE_ROWS:
+        for g in (3, 6):
+            rng = np.random.default_rng((SEED, k, g))
+            means = rng.uniform(-5.0, 5.0, size=(k, g))
+            permuted = means[np.ix_(rng.permutation(k), rng.permutation(g))]
+            for variant, fitted in (("permuted", permuted),
+                                    ("perturbed", permuted + rng.normal(size=(k, g)))):
+                yield {f"score/K{k}-G{g}/{variant}/refine": block_score(model(fitted), model(means))}
+    for r, m in EXCLUSION_SHAPES:
+        for spread in (0.3, 1.0, 3.0):
+            rng = np.random.default_rng((SEED, r, m, int(10 * spread)))
+            group = np.sort(rng.normal(scale=2.0, size=r))
+            locations = np.concatenate([group, group[-1] + rng.uniform(10.0, 30.0) + [0.0, 3.0]])
+            truth = MixtureParams(locations[:, None], VarianceSpec.shared(1.0),
+                                  np.full(r + 2, 1 / (r + 2)))
+            cover = group[rng.integers(r, size=m)] + rng.normal(scale=spread, size=m)
+            candidate = MixtureParams(cover[:, None], VarianceSpec.shared(1.0), np.full(m, 1 / m))
+            diag = many_fit_one_excluded(truth, candidate, r, range(m), 0.5 * (1 - r / m))
+            yield {f"score/r{r}-m{m}/spread-{spread}/exclusion": {
+                "delta": diag.delta, "threshold": diag.threshold,
+                "covering_radius": diag.covering_radius, "excluded": diag.excluded}}
 
 
 def solve_outputs():
@@ -379,7 +427,8 @@ def child() -> None:
         # Hypothesis caches the literal pools it reads; keep that cache out of the checkout
         os.environ["HYPOTHESIS_STORAGE_DIRECTORY"] = str(Path(tmp) / "hypothesis")
         for group in (fit_outputs(), cocluster_outputs(), file_outputs(Path(tmp)),
-                      mixture_outputs(), block_outputs(), solve_outputs(), literal_outputs()):
+                      mixture_outputs(), block_outputs(), solve_outputs(), score_outputs(),
+                      literal_outputs()):
             for outputs in group:
                 for key, value in outputs.items():
                     print(key, json.dumps(value, default=_plain), file=out)
