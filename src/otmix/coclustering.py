@@ -402,10 +402,9 @@ def block_score(fitted: BlockModel, truth: BlockModel) -> float:
     The squares of both means do not depend on the permutations, so the best
     pair (pi, sigma) maximises the gain <F[pi][:, sigma], T>, and for a fixed
     row permutation the column gains T^T F[pi] give sigma by one assignment
-    solve.  Exact for K <= 8, where one einsum gives the column gains of every
-    row permutation; larger K alternates the row and column assignment solves
-    from a row matching on sorted block means.  The score is computed directly
-    at the chosen pair.
+    solve.  Exact for K <= 8 by one such solve per row permutation; larger K
+    alternates the row and column assignment solves from a row matching on
+    sorted block means.  The score is computed directly at the chosen pair.
     """
     if (
         fitted.n_row_classes != truth.n_row_classes
@@ -417,9 +416,9 @@ def block_score(fitted: BlockModel, truth: BlockModel) -> float:
     k = tru_m.shape[0]
 
     if k <= 8:
-        perms = np.array(list(itertools.permutations(range(k))))
         best = -np.inf
-        for perm, gain in zip(perms, np.einsum("kg,pkh->pgh", tru_m, fit_m[perms])):
+        for perm in np.array(list(itertools.permutations(range(k)))):
+            gain = tru_m.T @ fit_m[perm]
             rows, cols = _assignment(-gain)
             total = gain[rows, cols].sum()
             if total > best:
