@@ -208,7 +208,7 @@ def _phase(y, opposite, means, variances, weights, cfg: FitConfig, use_transport
     def log_kernel_at(mu, var):
         eta = _natural(mu, opposite_mass / var)
         eta[-1] -= 0.5 * np.log(var) @ opposite_mass
-        return design.T @ eta
+        return (eta.T @ design).T
 
     mu, var, wts = means, variances, weights
     surrogate = []
@@ -401,10 +401,10 @@ def block_score(fitted: BlockModel, truth: BlockModel) -> float:
 
     The squares of both means do not depend on the permutations, so the best
     pair (pi, sigma) maximises the gain <F[pi][:, sigma], T>, and for a fixed
-    row permutation the column gains T^T F[pi] give sigma by one assignment
-    solve.  Exact for K <= 8 by one such solve per row permutation; larger K
-    alternates the row and column assignment solves from a row matching on
-    sorted block means.  The score is computed directly at the chosen pair.
+    permutation of one side the gains give the other's by one assignment solve.
+    Exact when min(K, G) <= 8, by one such solve per permutation of the smaller
+    side; otherwise alternates the row and column assignment solves from a row
+    matching on sorted block means.  The score is computed at the chosen pair.
     """
     if (
         fitted.n_row_classes != truth.n_row_classes
@@ -413,6 +413,9 @@ def block_score(fitted: BlockModel, truth: BlockModel) -> float:
         raise ValueError("fitted and true block models must share K and G")
     fit_m = fitted.means
     tru_m = truth.means
+    swap = fit_m.shape[1] < fit_m.shape[0]  # enumerate the smaller side
+    if swap:
+        fit_m, tru_m = fit_m.T, tru_m.T
     k = tru_m.shape[0]
 
     if k <= 8:
@@ -435,4 +438,6 @@ def block_score(fitted: BlockModel, truth: BlockModel) -> float:
                 break
             row_perm = new_perm
             _, col_perm = _assignment(-(tru_m.T @ fit_m[row_perm]))
+    if swap:
+        fit_m, tru_m, row_perm, col_perm = fit_m.T, tru_m.T, col_perm, row_perm
     return float(np.mean((fit_m[np.ix_(row_perm, col_perm)] - tru_m) ** 2))

@@ -8,10 +8,14 @@ parameters (`_natural`), the weighted moments of the M-step and the entropic
 gradient, and k-means' distances.  All density work happens in log space, and
 one max-shifted row normaliser, `_softmax_rows`, gives both E-steps their row
 softmax and both losses their row log-sum-exp, so that far-away points and
-floor-level variances never overflow.  Every row sum of an N-row array is one
-matrix-vector product, `_row_sum`; it serves that normaliser and the one
-row-stochastic check, `_row_stochastic`, of `Responsibilities` and the
-co-clustering assignments.  Every container is an immutable value; the functions here are pure.
+floor-level variances never overflow.  The (N, K) arrays an E-step normalises,
+the log kernel and the buffers the normaliser works in, are column-major
+(Fortran-ordered): with N >> K a row max, a row broadcast or a check then runs
+along the N points of each column instead of N inner loops of length K.  Every
+row sum of an N-row array is one matrix-vector product, `_row_sum`; it serves
+that normaliser and the one row-stochastic check, `_row_stochastic`, of
+`Responsibilities` and the co-clustering assignments.  Every container is an
+immutable value; the functions here are pure.
 """
 
 from __future__ import annotations
@@ -323,7 +327,7 @@ def component_log_densities(params: MixtureParams, points: np.ndarray) -> np.nda
     var = params.variance_matrix()  # (K, d)
     eta = _natural(params.locations - centre, 1.0 / var)
     eta[-1] -= 0.5 * np.sum(LOG_2PI + np.log(var), axis=1)
-    return design.T @ eta
+    return (eta.T @ design).T  # column-major, as the E-step's buffers are
 
 
 def _weighted_sq_deviation(stats: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -340,23 +344,12 @@ def neg_loglik(params: MixtureParams, data: Dataset) -> float:
     )
 
 
-def _row_max(a: np.ndarray) -> np.ndarray:
-    """a.max(axis=1) of an (N, K) array, as K - 1 column-wise passes.
-
-    The maximum is exact, so the values are the same; numpy's own reduction
-    runs one length-K inner loop per row, which is slow for the small K here.
-    """
-    out = a[:, 0].copy()
-    for j in range(1, a.shape[1]):
-        np.maximum(out, a[:, j], out=out)
-    return out
-
-
 def _row_sum(a: np.ndarray) -> np.ndarray:
     """The row sums of an (N, K) array, as the matrix-vector product a @ 1.
 
     BLAS sums a short row several times faster than numpy's one inner loop
-    per row; the bits are BLAS's, equal to numpy's up to rounding.
+    per row, and on the column-major E-step arrays it adds whole columns; the
+    bits are BLAS's, equal to numpy's up to rounding.
     """
     return a @ np.ones(a.shape[1])
 
@@ -364,10 +357,13 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
 def _row_stochastic(matrix, name: str) -> np.ndarray:
     """`matrix` as a float array, checked finite, 2-d, with entries in [0, 1]
     and rows summing to 1; the messages name it `name`."""
-    m = _as_float_array(matrix, name)
+    m = np.asarray(matrix, dtype=float)
+    in_range = m.min(initial=0.0) >= -1e-12 and m.max(initial=1.0) <= 1.0 + 1e-12
+    if not in_range:  # a NaN or +-inf lands here: name it first
+        _as_float_array(m, name)
     if m.ndim != 2:
         raise ValueError(f"{name} must be a matrix")
-    if np.any(m < -1e-12) or np.any(m > 1.0 + 1e-12):
+    if not in_range:
         raise ValueError(f"{name} entries must lie in [0, 1]")
     if np.max(np.abs(_row_sum(m) - 1.0)) > 1e-10:
         raise ValueError(f"{name} rows must sum to 1 within 1e-10")
@@ -377,12 +373,15 @@ def _row_stochastic(matrix, name: str) -> np.ndarray:
 def _softmax_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The one row normaliser: `a` (N, K) becomes exp(a - row max) in place.
 
+    Callers hand it column-major arrays, on which the row max and the row
+    broadcast run along the columns; on a row-major (N, K) array with small K,
+    numpy's row max runs one short inner loop per row, several times slower.
     Returns the row maxima and the shifted row sums: the softmax is
     `a / sum[:, None]` and the log-sum-exp `max + log(sum)`.  The shift is
     exact for same-magnitude logits, so rows normalise to machine precision
     even when the logits are ~1e11.
     """
-    row_max = _row_max(a)
+    row_max = a.max(axis=1)
     a -= row_max[:, None]
     np.exp(a, out=a)
     return row_max, _row_sum(a)
@@ -391,7 +390,7 @@ def _softmax_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _posterior(log_densities: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bayes responsibilities and the row log-sum-exp log sum_k alpha_k q_k(Y_i),
     from one softmax: EM's E-step and ell in a single pass."""
-    e = log_densities + np.log(weights)[None, :]
+    e = np.add(log_densities, np.log(weights), order="F")
     row_max, row_sum = _softmax_rows(e)
     np.divide(e, row_sum[:, None], out=e)
     return e, row_max + np.log(row_sum)

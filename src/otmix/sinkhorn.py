@@ -23,7 +23,10 @@ Brauer, Clason, Lorenz and Wirth, "A Sinkhorn-Newton method for entropic
 optimal transport" (2017), with a Sinkhorn update where a Newton step would
 stall.  An iteration is one trial, and `max_iterations` caps them all,
 rejected trials included.  Column means are the matrix-vector product
-1^T P / N, which BLAS sums faster than numpy's reduction.
+1^T P / N, which BLAS sums faster than numpy's reduction.  The plan and its
+spare buffer are column-major whatever the kernel's layout, as in
+`mixtures`, so the row softmax of a pass runs along the N data points of
+each column; a row-major kernel costs one transposing add per pass.
 """
 
 from __future__ import annotations
@@ -195,7 +198,7 @@ def transport_responsibilities(
         t_step = trial - absorbed
         absorb = not np.abs(t_step).max() <= ABSORB_BOUND
         if absorb:  # the normalised plan at the trial, in log space, into the spare buffer
-            spare = np.empty_like(log_kernel) if spare is None else spare
+            spare = np.empty((n, k), order="F") if spare is None else spare
             t_max, t_sum, t_marginal = _log_domain_pass(log_kernel, log_w + trial, spare)
             t_scaling = t_scale = None
         else:  # the plan at the trial is plan * t_scaling / t_scale
@@ -298,7 +301,8 @@ def semidual_value(log_kernel: np.ndarray, weights: np.ndarray, potentials: np.n
 
     sum_k alpha_k omega_k - (1/N) sum_i log sum_k alpha_k e^{omega_k} K_ik.
     """
-    row_max, row_sum = _softmax_rows(log_kernel + (np.log(weights) + potentials)[None, :])
+    shifted = np.add(log_kernel, np.log(weights) + potentials, order="F")
+    row_max, row_sum = _softmax_rows(shifted)
     return float(np.dot(weights, potentials) - np.mean(row_max + np.log(row_sum)))
 
 

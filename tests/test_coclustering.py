@@ -367,6 +367,21 @@ class TestBlockScore:
             )
             assert block_score(fitted, truth) == pytest.approx(best, rel=1e-12)
 
+    @pytest.mark.parametrize("k, g", [(6, 3), (3, 6), (9, 3)], ids=["6x3", "3x6", "9x3"])
+    def test_enumerating_the_smaller_side_matches_brute_force(self, rng, k, g):
+        # exact whenever min(K, G) <= 8; the reference enumerates every row and
+        # column permutation pair, through each pair's per-row costs
+        row_perms = np.array(list(itertools.permutations(range(k))))
+        for _ in range(5):
+            fitted = make_model(rng, k=k, g=g)
+            truth = make_model(rng, k=k, g=g)
+            best = np.inf
+            for cp in itertools.permutations(range(g)):
+                # cost[a, b]: fitted row a, columns permuted by cp, against true row b
+                cost = ((fitted.means[:, None, list(cp)] - truth.means[None]) ** 2).sum(axis=2)
+                best = min(best, cost[row_perms, np.arange(k)].sum(axis=1).min() / (k * g))
+            assert block_score(fitted, truth) == pytest.approx(best, rel=1e-12)
+
     def test_shape_mismatch(self, rng):
         a = make_model(rng, k=2, g=2)
         b = make_model(rng, k=3, g=2)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import tracemalloc
@@ -17,7 +18,8 @@ from otmix import (
     neg_loglik,
     sample_mixture,
 )
-from otmix.mixtures import _row_max, _row_sum, _softmax_rows, responsibility_matrix
+from otmix.mixtures import (LOG_2PI, _moments, _natural, _row_sum, _softmax_rows,
+                            responsibility_matrix)
 from conftest import random_instance, random_params
 
 
@@ -56,6 +58,36 @@ class TestValidation:
     def test_responsibility_rows_must_normalize(self):
         with pytest.raises(ValueError):
             Responsibilities(np.array([[0.5, 0.4]]))
+
+
+# case: (matrix, the one message it must raise); the checks run in this order
+ROW_STOCHASTIC_MESSAGES = {
+    "nan": ([[np.nan, 1.0]], "responsibilities contains non-finite entries"),
+    "+inf": ([[np.inf, 0.0]], "responsibilities contains non-finite entries"),
+    "-inf": ([[-np.inf, 1.0]], "responsibilities contains non-finite entries"),
+    "1-d-nan": ([np.nan, 1.0], "responsibilities contains non-finite entries"),
+    "1-d": ([0.5, 0.5], "responsibilities must be a matrix"),
+    "1-d-negative": ([-0.5, 1.5], "responsibilities must be a matrix"),
+    "scalar": (1.0, "responsibilities must be a matrix"),
+    "negative": ([[-1e-11, 1.0]], "responsibilities entries must lie in [0, 1]"),
+    "above-one": ([[1.0 + 1e-11, 0.0]], "responsibilities entries must lie in [0, 1]"),
+    "row-sum": ([[0.5, 0.5], [0.5, 0.4]], "responsibilities rows must sum to 1 within 1e-10"),
+    "no-columns": (np.empty((3, 0)), "responsibilities rows must sum to 1 within 1e-10"),
+}
+
+
+@pytest.mark.parametrize("case", ROW_STOCHASTIC_MESSAGES)
+def test_row_stochastic_messages(case):
+    matrix, expected = ROW_STOCHASTIC_MESSAGES[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        Responsibilities(matrix)
+
+
+def test_row_stochastic_bounds_allow_rounding():
+    # entries within 1e-12 of [0, 1] and rows within 1e-10 of 1 pass, in either layout
+    m = np.array([[-1e-13, 1.0 + 1e-13], [0.25, 0.75 + 5e-11]])
+    for layout in "CF":
+        assert np.array_equal(Responsibilities(m.copy(order=layout)).matrix, m)
 
 
 def responsibilities(params, data):
@@ -172,6 +204,19 @@ class TestComponentLogpdf:
         actual = component_log_densities(params, points)
         np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("kind", ["shared", "spherical", "diagonal"])
+    def test_column_major_and_equal_to_the_design_gemm(self, kind):
+        # stored column by column, so the E-step's row passes run along the data,
+        # with the bits of the GEMM design.T @ eta
+        params, data = random_instance(np.random.default_rng(6), k=20, d=2, n=1000, kind=kind)
+        design, centre = _moments(data.points)
+        var = params.variance_matrix()
+        eta = _natural(params.locations - centre, 1.0 / var)
+        eta[-1] -= 0.5 * np.sum(LOG_2PI + np.log(var), axis=1)
+        actual = component_log_densities(params, data.points)
+        assert actual.flags.f_contiguous
+        assert np.array_equal(actual, design.T @ eta)
+
     def test_far_apart_clusters_stay_within_the_rounding_bound(self):
         # two unit-variance clusters 1e6 apart: the expanded square loses about
         # eps * (|y - ybar|^2 + |theta - ybar|^2) / v per entry, which is ~1e-4
@@ -249,7 +294,7 @@ class TestRowReductions:
         rng = np.random.default_rng(7)
         for k in range(1, 21):
             for scale in (1e-3, 1.0, 300.0):
-                a = rng.normal(size=(300, k)) * scale  # tall: the column path
+                a = rng.normal(size=(300, k)) * scale  # tall, as the E-step's arrays are
                 a[0] = np.round(a[0])  # ties for the maximum
                 a[1] = -0.0
                 a[2, k // 2] = np.inf
@@ -259,7 +304,6 @@ class TestRowReductions:
 
     def test_row_max_and_sum(self):
         for a in self._arrays():
-            assert np.array_equal(_row_max(a), a.max(axis=1), equal_nan=True)
             with np.errstate(over="ignore"):
                 positive = np.exp(a)
             bound = a.shape[1] * np.finfo(float).eps
@@ -273,15 +317,24 @@ class TestRowReductions:
 
     def test_softmax_rows(self):
         rng = np.random.default_rng(11)
-        for k in range(1, 21):
+        for k, layout in itertools.product(range(1, 21), "CF"):
             a = rng.normal(size=(300, k)) * rng.choice([1e-3, 1.0, 300.0], size=(300, 1))
-            e = a.copy()
+            e = a.copy(order=layout)
             row_max, row_sum = _softmax_rows(e)
             assert np.array_equal(row_max, a.max(axis=1))
             assert np.all(e <= 1.0) and np.all(e.max(axis=1) == 1.0)
             lse = logsumexp(a, axis=1)
             np.testing.assert_allclose(e / row_sum[:, None], np.exp(a - lse[:, None]), rtol=1e-12, atol=1e-300)
             np.testing.assert_allclose(row_max + np.log(row_sum), lse, rtol=1e-14, atol=0)
+        # NaN, +-inf and tied entries: the row max is numpy's, and the shifted
+        # entries are the same in both layouts
+        for a, layout in itertools.product(self._arrays(), "CF"):
+            e = a.copy(order=layout)
+            with np.errstate(invalid="ignore"):
+                row_max, _ = _softmax_rows(e)
+                assert np.array_equal(row_max, a.max(axis=1), equal_nan=True)
+                assert np.array_equal(e, np.exp(a - a.max(axis=1)[:, None]), equal_nan=True)
+            assert np.all(e[5:].max(axis=1) == 1.0)
 
 
 class TestVanillaResponsibilities:

@@ -25,7 +25,8 @@ from otmix import (
 )
 from otmix import sinkhorn
 from otmix.fitting import FitConfig
-from otmix.sinkhorn import ABSORB_BOUND, SCALING_BUDGET
+from otmix.mixtures import _posterior
+from otmix.sinkhorn import ABSORB_BOUND, SCALING_BUDGET, semidual_value
 from conftest import random_instance
 
 TIGHT = SinkhornConfig(tolerance=1e-10, max_iterations=50000)
@@ -192,14 +193,15 @@ class TestSinkhornEstep:
 
     def test_first_pass_solve_is_one_log_domain_pass(self):
         # a solve that converges on its first pass returns that pass's bits:
-        # the plan, log partition and error of one log-space softmax
+        # the plan, log partition and error of one log-space softmax, taken in
+        # the solver's column-major buffer (its row sums are BLAS's column sums)
         rng = np.random.default_rng(11)
         log_kernel = rng.normal(scale=3.0, size=(300, 4))
         weights = rng.dirichlet(np.ones(4))
         omega = transport_responsibilities(log_kernel, weights, TIGHT).potentials
         sol = transport_responsibilities(log_kernel, weights, SinkhornConfig(), omega)
         assert sol.converged and sol.iterations == 1
-        logits = log_kernel + (np.log(weights) + omega)[None, :]
+        logits = np.add(log_kernel, np.log(weights) + omega, order="F")
         row_max = logits.max(axis=1)
         shifted = np.exp(logits - row_max[:, None])
         row_sum = shifted @ np.ones(4)
@@ -279,6 +281,26 @@ class TestSinkhornEstep:
         gap_a = loss_entropic(params, data, TIGHT, a) - neg_loglik(params, data)
         gap_b = loss_entropic(params_s, data_s, TIGHT, b) - neg_loglik(params_s, data_s)
         assert gap_a == pytest.approx(gap_b, abs=1e-10)
+
+
+@pytest.mark.parametrize("n, k", [(20000, 3), (1000, 20), (100, 5)])
+def test_row_and_column_major_kernels_give_the_same_bits(n, k):
+    # the solver and the softmaxes work in column-major buffers whatever the
+    # kernel's layout, so a row-major copy of a kernel changes no bit
+    rng = np.random.default_rng(n + k)
+    kernel = rng.normal(scale=3.0, size=(n, k))
+    weights = rng.dirichlet(np.ones(k))
+    potentials = rng.normal(size=k)
+    outputs = []
+    for layout in "CF":
+        copy = kernel.copy(order=layout)
+        resp, lse = _posterior(copy, weights)
+        solution = transport_responsibilities(copy, weights, TIGHT)
+        outputs.append([resp, lse, semidual_value(copy, weights, potentials),
+                        solution.potentials, solution.responsibilities.matrix,
+                        solution.log_partition, solution.marginal_error, solution.iterations])
+    for row_major, col_major in zip(*outputs):
+        assert np.array_equal(row_major, col_major)
 
 
 class TestTiltedWeights:

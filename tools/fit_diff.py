@@ -39,7 +39,9 @@ prints one `key json` line per output.  The outputs are:
   differences as the capped benchmark fits do;
 - `solve/...`: `transport_responsibilities` on three families of log kernels,
   each solve giving its potentials, plan, log partition, marginal error,
-  iterations and convergence flag.  `warm`: 20 normal kernels at scale 3,
+  iterations and convergence flag.  Each kernel is solved as built
+  (row-major) and as a column-major copy (`...-colmajor`), the layout the
+  fitters hand the solver.  `warm`: 20 normal kernels at scale 3,
   solved to 1e-4 from the potentials of a 1e-3 solve, which mostly converge
   within the scaling budget; `cold`: 20 such kernels solved to 1e-8 from zero, which
   reach the Newton steps; `saturated`: 40 kernels of the property tests'
@@ -47,9 +49,10 @@ prints one `key json` line per output.  The outputs are:
   kernel's column shares), at tolerance 1e-3 or 1e-8 and a cap of 2,000;
 - `score/...`: the scorers.  `block`: `block_score` of each `block/` fit
   against its truth; `refine`: `block_score` of a row- and column-permuted
-  copy of a random K x G block model (K = 9..12, G = 3 or 6), and of that
-  copy with unit Gaussian noise, against the model, which takes the
-  alternating refinement; `exclusion`: delta, threshold, covering radius and
+  copy of a random K x G block model (K = 9..12, G = 3, 6 or 10), and of
+  that copy with unit Gaussian noise, against the model: G <= 8 takes the
+  exact search over the G! column permutations, G = 10 the alternating
+  refinement; `exclusion`: delta, threshold, covering radius and
   verdict of `many_fit_one_excluded` on 24 one-dimensional groups of r points
   covered by m candidates, with r^m assignment maps below and above
   2,000,000, where earlier versions of `covering_radius` stopped enumerating
@@ -346,7 +349,7 @@ def score_outputs():
         return BlockModel(means, np.ones((k, g)), np.full(k, 1 / k), np.full(g, 1 / g))
 
     for k in REFINE_ROWS:
-        for g in (3, 6):
+        for g in (3, 6, 10):
             rng = np.random.default_rng((SEED, k, g))
             means = rng.uniform(-5.0, 5.0, size=(k, g))
             permuted = means[np.ix_(rng.permutation(k), rng.permutation(g))]
@@ -374,12 +377,15 @@ def solve_outputs():
     from otmix import SinkhornConfig, transport_responsibilities
 
     def solve(key, log_kernel, weights, cfg, start=None):
-        return _fit_outputs(
-            key, lambda: transport_responsibilities(log_kernel, weights, cfg, start),
-            lambda sol, caught: {"": {
-                "potentials": sol.potentials, "plan": sol.responsibilities.matrix,
-                "log_partition": sol.log_partition, "error": sol.marginal_error,
-                "iterations": sol.iterations, "converged": sol.converged}})
+        outputs = {}
+        for layout, kernel in (("", log_kernel), ("-colmajor", np.asfortranarray(log_kernel))):
+            outputs |= _fit_outputs(
+                key + layout, lambda: transport_responsibilities(kernel, weights, cfg, start),
+                lambda sol, caught: {"": {
+                    "potentials": sol.potentials, "plan": sol.responsibilities.matrix,
+                    "log_partition": sol.log_partition, "error": sol.marginal_error,
+                    "iterations": sol.iterations, "converged": sol.converged}})
+        return outputs
 
     for instance in SOLVE_INSTANCES:
         rng = np.random.default_rng((SEED, instance, len(CELLS)))
