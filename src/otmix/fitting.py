@@ -11,7 +11,9 @@ potentials) for Sinkhorn-EM.
 Each E-step takes one row softmax of the kernel, and the loss pair comes from
 that pass: EM's ell is the mean row log-sum-exp of its softmax, and Sinkhorn-EM
 reads ell and L off the solve's plan, potentials and log partition
-(`_transport_losses`).
+(`_transport_losses`); each mean is a sum over N, numpy's mean to the bit.  A
+fixed `VarianceSpec` passes through the M-step as the same object, so the
+kernel derives its variance terms once per fit.
 
 Each fit's two model choices have one home.  The variance regime (kind, and
 whether it is estimated) is the initial parameters' `VarianceSpec`, which the
@@ -177,7 +179,7 @@ def _transport_losses(
     log_lik = lse + np.log(tilted) - low
     if lost.any():
         _, log_lik[lost] = _posterior(log_kernel[lost], weights)
-    return float(-np.mean(log_lik)), float(np.dot(weights, omega) - np.mean(lse))
+    return float(-log_lik.sum() / lse.size), float(np.dot(weights, omega) - lse.sum() / lse.size)
 
 
 def _fit(data: Dataset, init: MixtureParams, cfg: FitConfig, transport: bool) -> FitReport:
@@ -198,7 +200,7 @@ def _fit(data: Dataset, init: MixtureParams, cfg: FitConfig, transport: bool) ->
         else:
             matrix, lse = _posterior(log_kernel, params.weights)
             resp = Responsibilities(matrix)
-            trace.append((float(-np.mean(lse)), None))
+            trace.append((float(-lse.sum() / lse.size), None))
         converged = change < cfg.param_change_tolerance
         if converged or iterations == cfg.max_outer_iterations:
             break

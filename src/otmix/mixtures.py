@@ -14,8 +14,10 @@ the log kernel and the buffers the normaliser works in, are column-major
 along the N points of each column instead of N inner loops of length K.  Every
 row sum of an N-row array is one matrix-vector product, `_row_sum`; it serves
 that normaliser and the one row-stochastic check, `_row_stochastic`, of
-`Responsibilities` and the co-clustering assignments.  Every container is an
-immutable value; the functions here are pure.
+`Responsibilities` and the co-clustering assignments.  The kernel's variance
+terms (1/v, the log normaliser) are derived once per (K, d) and kept on the
+`VarianceSpec`, whose values are read-only.  Every container is an immutable
+value; the functions here are pure.
 """
 
 from __future__ import annotations
@@ -92,7 +94,9 @@ class VarianceSpec:
     def __post_init__(self):
         if self.kind not in TIED_AXES:
             raise ValueError(f"unknown variance kind {self.kind!r}")
-        vals = _floored(self.values, "variances")
+        # a read-only copy: `_kernel_terms` caches what it derives from the values
+        vals = _floored(self.values, "variances").copy()
+        vals.flags.writeable = False
         expected_ndim = 2 - len(TIED_AXES[self.kind])
         if vals.ndim != expected_ndim:
             raise ValueError(
@@ -119,16 +123,31 @@ class VarianceSpec:
         tied = TIED_AXES[kind]
         return tuple(n for axis, n in enumerate((n_components, dim)) if axis not in tied)
 
-    def expand(self, n_components: int, dim: int) -> np.ndarray:
-        """Variances as a read-only (K, d) view regardless of kind."""
+    def _require_shape(self, n_components: int, dim: int) -> None:
+        """Reject values whose shape does not fit K components in d dimensions."""
         shape = self.value_shape(self.kind, n_components, dim)
         if self.values.shape != shape:
             raise ValueError(
                 f"{self.kind} variances of shape {self.values.shape} do not match "
                 f"K={n_components}, d={dim}; expected shape {shape}"
             )
+
+    def expand(self, n_components: int, dim: int) -> np.ndarray:
+        """Variances as a read-only (K, d) view regardless of kind."""
+        self._require_shape(n_components, dim)
         tied = TIED_AXES[self.kind]
         return np.broadcast_to(np.expand_dims(self.values, tied), (n_components, dim))
+
+    def _kernel_terms(self, n_components: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+        """The log kernel's precisions 1/v, (K, d), and log normalisers
+        sum_j (log 2 pi + log v_kj) / 2, (K,): computed once per spec and (K, d),
+        so once per fit when the variances are fixed."""
+        key, precision, log_norm = self.__dict__.get("_terms", (None, None, None))
+        if key != (n_components, dim):
+            var = self.expand(n_components, dim)
+            precision, log_norm = 1.0 / var, 0.5 * np.sum(LOG_2PI + np.log(var), axis=1)
+            object.__setattr__(self, "_terms", ((n_components, dim), precision, log_norm))
+        return precision, log_norm
 
     def pool(self, per_entry: np.ndarray) -> np.ndarray:
         """Sum a (K, d) array over the tied axes, to the shape of values.
@@ -164,8 +183,7 @@ class MixtureParams:
         if loc.ndim != 2 or loc.shape[0] < 1 or loc.shape[1] < 1:
             raise ValueError("locations must be a K x d matrix with K, d >= 1")
         w = _simplex(self.weights, "weights", loc.shape[0])
-        # shape consistency with the variance spec
-        self.variances.expand(loc.shape[0], loc.shape[1])
+        self.variances._require_shape(loc.shape[0], loc.shape[1])
         object.__setattr__(self, "locations", loc)
         object.__setattr__(self, "weights", w)
 
@@ -324,9 +342,9 @@ def component_log_densities(params: MixtureParams, points: np.ndarray) -> np.nda
     if pts.ndim == 1:
         pts = pts[:, None]
     design, centre = _moments(pts)
-    var = params.variance_matrix()  # (K, d)
-    eta = _natural(params.locations - centre, 1.0 / var)
-    eta[-1] -= 0.5 * np.sum(LOG_2PI + np.log(var), axis=1)
+    precision, log_norm = params.variances._kernel_terms(params.n_components, params.dim)
+    eta = _natural(params.locations - centre, precision)
+    eta[-1] -= log_norm
     return (eta.T @ design).T  # column-major, as the E-step's buffers are
 
 

@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,12 +49,22 @@ class TestValidation:
             Dataset(np.array([[0.0], [np.nan]]))
 
     def test_variance_shape_must_match(self):
-        with pytest.raises(ValueError):
-            MixtureParams(
-                np.zeros((2, 3)),
-                VarianceSpec.diagonal(np.ones((2, 2))),
-                np.array([0.5, 0.5]),
-            )
+        # MixtureParams checks the shape without building expand's view, by the same helper
+        message = "diagonal variances of shape (2, 2) do not match K=2, d=3; expected shape (2, 3)"
+        spec = VarianceSpec.diagonal(np.ones((2, 2)))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MixtureParams(np.zeros((2, 3)), spec, np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            spec.expand(2, 3)
+
+    def test_variance_values_are_a_read_only_copy(self):
+        # the kernel caches terms derived from the values, so they cannot change in place
+        values = np.array([0.5, 1.0])
+        spec = VarianceSpec.spherical(values)
+        values[0] = 2.0
+        assert spec.values[0] == 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            spec.values[0] = 2.0
 
     def test_responsibility_rows_must_normalize(self):
         with pytest.raises(ValueError):
@@ -209,13 +220,18 @@ class TestComponentLogpdf:
         # stored column by column, so the E-step's row passes run along the data,
         # with the bits of the GEMM design.T @ eta
         params, data = random_instance(np.random.default_rng(6), k=20, d=2, n=1000, kind=kind)
-        design, centre = _moments(data.points)
+        actual = component_log_densities(params, data.points)
+        assert actual.flags.f_contiguous
+        assert np.array_equal(actual, self._design_gemm(params, data.points))
+
+    @staticmethod
+    def _design_gemm(params, points):
+        """The kernel as the GEMM design.T @ eta, its variance terms derived afresh."""
+        design, centre = _moments(points)
         var = params.variance_matrix()
         eta = _natural(params.locations - centre, 1.0 / var)
         eta[-1] -= 0.5 * np.sum(LOG_2PI + np.log(var), axis=1)
-        actual = component_log_densities(params, data.points)
-        assert actual.flags.f_contiguous
-        assert np.array_equal(actual, design.T @ eta)
+        return design.T @ eta
 
     def test_far_apart_clusters_stay_within_the_rounding_bound(self):
         # two unit-variance clusters 1e6 apart: the expanded square loses about
@@ -247,6 +263,31 @@ class TestComponentLogpdf:
         finally:
             tracemalloc.stop()
         assert peak <= bound
+
+    def test_cached_terms_follow_the_shape(self):
+        # one spec at (K, d) = (3, 2), (5, 4), then (3, 2) again: each kernel has
+        # the bits of the same kernel on a fresh spec
+        spec = VarianceSpec.shared(0.3)
+        rng = np.random.default_rng(7)
+        for k, d in ((3, 2), (5, 4), (3, 2)):
+            locations, points = rng.normal(size=(k, d)), rng.normal(size=(50, d))
+            weights = np.full(k, 1 / k)
+            reused = component_log_densities(MixtureParams(locations, spec, weights), points)
+            fresh = component_log_densities(
+                MixtureParams(locations, VarianceSpec.shared(0.3), weights), points)
+            assert np.array_equal(reused, fresh)
+
+    def test_cached_terms_follow_the_values(self):
+        # dataclasses.replace builds a new spec, which derives its own terms
+        rng = np.random.default_rng(8)
+        params, data = random_instance(rng, k=4, d=3, n=60, kind="spherical")
+        component_log_densities(params, data.points)
+        values = rng.uniform(0.5, 2.0, size=4)
+        replaced = params.with_variances(replace(params.variances, values=values))
+        fresh = params.with_variances(VarianceSpec.spherical(values))
+        kernel = component_log_densities(replaced, data.points)
+        assert np.array_equal(kernel, component_log_densities(fresh, data.points))
+        assert np.array_equal(kernel, self._design_gemm(fresh, data.points))
 
     def test_nonfinite_point_rejected(self):
         # points are checked once, where they enter: the Dataset
